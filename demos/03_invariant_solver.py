@@ -21,8 +21,9 @@ for inv in enumerate_invariants(md):
     print(inv.Z)
 
 # The "block" one above pairs the labels (0,6), (3,7), (4,10): it is
-# the E-type exceptional at this level, found by the same backtracking
-# search that returns the diagonal and the D-type permutation.
+# the E-type exceptional at this level, found by the same search over
+# the commutant's pivot coordinates that returns the diagonal and the
+# D-type permutation.
 
 # Across two different data sets the solver answers an emptier
 # question: are there any invariants at all?

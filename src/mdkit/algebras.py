@@ -8,6 +8,7 @@ structure morphisms is not visible at the level of S and T.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,6 +145,15 @@ def local_modules_dim(c: AlgebraCandidate) -> float:
     return c.host.global_dim / (c.dim_gamma * c.dim_gamma)
 
 
+@functools.lru_cache(maxsize=1)
+def _invariant_host(left: ModularData, right: ModularData) -> ModularData:
+    """deligne_product(left, reverse(right)), built once for a run of
+    calls on the same pair: every invariant of the pair shares the host
+    (ModularData is immutable), so memory does not grow with their count.
+    """
+    return deligne_product(left, reverse(right))
+
+
 def algebra_from_invariant(left: ModularData, right: ModularData,
                            z: ModularInvariant, eps: float | None = None,
                            lenient: bool = False) -> AlgebraCandidate:
@@ -166,7 +176,7 @@ def algebra_from_invariant(left: ModularData, right: ModularData,
             or np.abs(Z * left.T[None, :] - right.T[:, None] * Z).max() > max(tol, 1e-9)):
         raise MdkError("matrix does not intertwine the given data sets")
 
-    host = deligne_product(left, reverse(right))
+    host = _invariant_host(left, right)
     eps = host.eps if eps is None else float(eps)
     vec = _as_mult(host, Z.T.flatten())
     dgamma, verdicts = _screen_verdicts(host, vec, eps, lenient)

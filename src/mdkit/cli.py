@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Results go to the output stream, diagnostics to the error stream.  Exit
-codes: 0 success, 1 domain error, 2 usage error.  Identical inputs give
+codes: 0 success, 1 domain error (or running out of memory, or a failed
+linear-algebra routine), 2 usage error.  Identical inputs give
 byte-identical output.
 """
 
@@ -12,6 +13,8 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+
+import numpy as np
 
 from .algebras import (algebra_from_invariant, anisotropy_screen,
                        local_modules_dim, screen_algebra, witt_invariants,
@@ -268,7 +271,8 @@ def _parser() -> argparse.ArgumentParser:
     i.add_argument("left")
     i.add_argument("right")
     i.add_argument("--node-cap", type=int, default=10 ** 8)
-    i.add_argument("--workers", type=int, default=1)
+    i.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored; the search is single-threaded")
     i.set_defaults(func=_cmd_invariants)
 
     a = sub.add_parser("algebra", help="commutative-algebra screening")
@@ -286,7 +290,8 @@ def _parser() -> argparse.ArgumentParser:
     afi.add_argument("--index", type=int, required=True,
                      help="invariant index in canonical order")
     afi.add_argument("--node-cap", type=int, default=10 ** 8)
-    afi.add_argument("--workers", type=int, default=1)
+    afi.add_argument("--workers", type=int, default=1,
+                     help="accepted and ignored; the search is single-threaded")
     afi.add_argument("--lenient", action="store_true")
     afi.set_defaults(func=_cmd_algebra_from_invariant)
 
@@ -316,6 +321,10 @@ def run(argv, stdout=None, stderr=None) -> int:
             return args.func(args)
         except MdkError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (MemoryError, np.linalg.LinAlgError) as exc:
+            detail = f": {exc}" if str(exc) else ""
+            print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
             return 1
 
 

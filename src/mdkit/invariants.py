@@ -3,15 +3,17 @@
 A modular invariant between two modular data sets is a nonnegative-integer
 matrix Z with Z_{00} = 1 satisfying Z S_L = S_R Z and Z T_L = T_R Z (Z has
 shape right_rank x left_rank).  The solver first computes the linear
-commutant, then enumerates the integer points it contains by bounded
-backtracking.
+commutant in reduced row-echelon form.  Each pivot coordinate of a point
+in the commutant equals the matrix entry at its pivot position, so the
+integer points are enumerated by a depth-first search over the pivot
+coordinates alone, each bounded by floor(d^L_i d^R_j), with interval
+pruning on every other entry.  The search is exact (integer arithmetic
+over a common denominator) whenever the basis rationalizes.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,10 +93,13 @@ def commutant_basis(left: ModularData, right: ModularData | None = None,
 
     The T-relation zeroes every entry (j, i) with theta^L_i != theta^R_j,
     so only the surviving positions enter the S-relation, which is solved
-    by SVD (null space at 1e-8 relative threshold).  The null-space basis
-    is canonicalized by reduced row echelon form and rationalized entry by
-    entry with denominators up to 10^6; if any entry resists, the float
-    basis is kept and ``rationalized`` is False.
+    by a thin SVD (null space at 1e-8 relative threshold).  The system has
+    at least as many rows as unknowns, so the thin SVD yields the same
+    right singular vectors as the full one without forming the square
+    left factor.  The null-space basis is canonicalized by reduced row
+    echelon form and rationalized entry by entry with denominators up to
+    10^6; if any entry resists, the float basis is kept and
+    ``rationalized`` is False.
     """
     if right is None:
         right = left
@@ -117,7 +122,7 @@ def commutant_basis(left: ModularData, right: ModularData | None = None,
         A[rows * rL + i, k] -= right.S[:, j]
 
     M = np.vstack([A.real, A.imag])
-    u, sv, vt = np.linalg.svd(M, full_matrices=True)
+    _, sv, vt = np.linalg.svd(M, full_matrices=False)
     cut = 1e-8 * max(1.0, sv[0] if sv.size else 0.0)
     rank = int((sv > cut).sum())
     null = vt[rank:]
@@ -257,84 +262,64 @@ def classify_invariant(z: ModularInvariant) -> str:
     return _classify(np.asarray(z.Z))
 
 
-class _Search:
-    """Shared state for the (possibly threaded) backtracking enumeration."""
+def _coordinate_search(DB, scale, slack, boxes, caps, node_cap):
+    """Integer points of {sum_k c_k DB[k] / scale} with every entry in range.
 
-    def __init__(self, B, order, domains, node_cap):
-        self.B = B                      # (m, P) float
-        self.m = B.shape[0]
-        self.order = order              # position indices, assignment order
-        self.domains = domains          # per order slot, tuple of ints
-        self.node_cap = node_cap
-        self.nodes = 0
-        self.lock = threading.Lock()
-        self.found: list[np.ndarray] = []
+    DB is the (m, P) basis, scaled by ``scale`` and in reduced-echelon
+    form, so coordinate c_k is the entry at the k-th pivot and ranges
+    over 0..boxes[k] (c_0 is fixed to 1).  After c_0, coordinates are
+    assigned greedily, first the one that settles the most entries.  Each
+    expansion adds v * DB[k] to the running entry vector for every
+    candidate v at once and keeps v only if every entry can still land
+    in [0, caps] given the boxes of the unassigned coordinates, and every
+    entry the assignment settles is a multiple of ``scale`` (within
+    ``slack``).  Returns the surviving entry vectors, unscaled.
+    """
+    m, P = DB.shape
+    nonzero = DB != 0
+    unset = nonzero.sum(axis=0)
+    order, settled, rest = [], [], list(range(1, m))
+    k = 0
+    while True:
+        settled.append(np.flatnonzero(nonzero[k] & (unset == 1)))
+        order.append(k)
+        unset = unset - nonzero[k]
+        if not rest:
+            break
+        k = max(rest, key=lambda r: (
+            np.count_nonzero(nonzero[r] & (unset == 1)), -boxes[r]))
+        rest.remove(k)
+    DB = DB[order]
+    boxes = np.asarray(boxes)[order, None]
+    hi = np.zeros((m + 1, P), DB.dtype)
+    lo = np.zeros((m + 1, P), DB.dtype)
+    hi[:m] = np.cumsum((np.maximum(DB, 0) * boxes)[::-1], axis=0)[::-1]
+    lo[:m] = np.cumsum((np.minimum(DB, 0) * boxes)[::-1], axis=0)[::-1]
+    found = []
+    nodes = 0
 
-    def tick(self):
-        with self.lock:
-            self.nodes += 1
-            if self.nodes > self.node_cap:
-                raise IncompleteEnumerationError(
-                    f"search visited {self.nodes} nodes, over the "
-                    f"{self.node_cap} cap; no partial answer is returned",
-                    nodes=self.nodes, cap=self.node_cap)
-
-    def record(self, vec):
-        with self.lock:
-            self.found.append(vec)
-
-    def feasible(self, values):
-        """Least-squares feasibility of a prefix assignment.
-
-        Returns (ok, saturated, completion): completion is the unique
-        full coefficient-space point when the assigned columns already
-        have full rank m, else None.
-        """
-        t = len(values)
-        At = self.B[:, self.order[:t]].T
-        v = np.array(values, dtype=float)
-        c, _, rank, _ = np.linalg.lstsq(At, v, rcond=None)
-        if np.abs(At @ c - v).max() > 1e-6:
-            return False, False, None
-        if rank == self.m:
-            return True, True, self.B.T @ c
-        return True, False, None
-
-    def close_leaf(self, values, completion):
-        """Validate a fully determined point and record it."""
-        P = self.B.shape[1]
-        full = np.empty(P)
-        if completion is None:
-            for slot, val in enumerate(values):
-                full[self.order[slot]] = val
-        else:
-            full = completion
-        rounded = np.round(full)
-        if np.abs(full - rounded).max() > 1e-6 or rounded.min() < 0:
-            return
-        for slot, val in enumerate(values):
-            if rounded[self.order[slot]] != val:
-                return
-        for slot in range(len(values), len(self.order)):
-            if rounded[self.order[slot]] > self.domains[slot][-1]:
-                return
-        self.record(rounded.astype(np.int64))
-
-    def dfs(self, values):
-        depth = len(values)
-        if depth == len(self.order):
-            self.close_leaf(values, None)
-            return
-        for val in self.domains[depth]:
-            self.tick()
-            trial = values + [val]
-            ok, saturated, completion = self.feasible(trial)
-            if not ok:
-                continue
-            if saturated:
-                self.close_leaf(trial, completion)
+    def expand(t, acc):
+        nonlocal nodes
+        vals = np.arange(1, 2) if t == 0 else np.arange(boxes[t, 0] + 1)
+        nodes += vals.size
+        if nodes > node_cap:
+            raise IncompleteEnumerationError(
+                f"search visited {nodes} nodes, over the {node_cap} cap; "
+                f"no partial answer is returned", nodes=nodes, cap=node_cap)
+        trial = acc + vals[:, None] * DB[t]
+        ok = ((trial + hi[t + 1] >= -slack)
+              & (trial + lo[t + 1] <= caps + slack)).all(axis=1)
+        if settled[t].size:
+            rem = trial[:, settled[t]] % scale
+            ok &= (np.minimum(rem, scale - rem) <= slack).all(axis=1)
+        for row in trial[ok]:
+            if t + 1 == m:
+                found.append(row // scale if slack == 0 else np.rint(row))
             else:
-                self.dfs(trial)
+                expand(t + 1, row)
+
+    expand(0, np.zeros(P, DB.dtype))
+    return found
 
 
 def enumerate_invariants(left: ModularData, right: ModularData | None = None,
@@ -342,21 +327,28 @@ def enumerate_invariants(left: ModularData, right: ModularData | None = None,
                          eps: float | None = None) -> list[ModularInvariant]:
     """All modular invariants between two data sets, canonically sorted.
 
-    Entrywise backtracking over the T-compatible positions, visiting
-    positions in order of increasing entry bound floor(d^L_i d^R_j + 1e-6)
-    so that tightly constrained entries are fixed first.  Partial
-    assignments are pruned by projection onto the commutant; once the
-    assigned positions span the commutant, the unique completion is
-    checked directly instead of descending further.
+    Depth-first search over the m pivot coordinates of the reduced-echelon
+    commutant basis.  Each pivot coordinate of a solution equals the
+    matrix entry at its pivot position, so it ranges over
+    0..floor(d^L_i d^R_j + 1e-6), and the first pivot must be entry (0, 0)
+    with coordinate 1.  Each assignment costs one axpy on the running
+    entry vector; a branch is cut as soon as some entry can no longer
+    reach [0, floor(d^L_i d^R_j)] within the boxes of the unassigned
+    coordinates, or an entry no unassigned coordinate touches is not an
+    integer.  A rationalized basis is searched exactly, as an int64
+    matrix scaled by the common denominator of its entries; a float
+    basis (rationalization failed, or the scaled search could overflow
+    int64) is searched with 1e-6 integrality and bound slack.  Every
+    result is verified against S and T before it is returned.
 
     Parameters
     ----------
     node_cap : int
-        Budget on visited search nodes; exceeding it raises
+        Budget on coordinate assignments tried; exceeding it raises
         IncompleteEnumerationError rather than returning a partial list.
     workers : int
-        Subtree-parallel search threads.  The result is independent of
-        the worker count (final canonical sort).
+        Accepted for compatibility and ignored: the search is
+        single-threaded.
 
     Returns
     -------
@@ -369,62 +361,34 @@ def enumerate_invariants(left: ModularData, right: ModularData | None = None,
     cb = commutant_basis(left, right, eps=eps)
     if cb.dimension == 0:
         return []
-    workers = max(1, int(workers))
-
-    B = np.zeros((cb.dimension, len(cb.positions)))
-    for k, mat in enumerate(cb.basis):
-        for p, (j, i) in enumerate(cb.positions):
-            B[k, p] = float(mat[j][i]) if cb.rationalized else mat[j, i]
 
     dL, dR = left.dims, right.dims
     bounds = [int(math.floor(dL[i] * dR[j] + 1e-6)) for (j, i) in cb.positions]
-    try:
-        root = cb.positions.index((0, 0))
-    except ValueError:
-        return []
-    rest = sorted((k for k in range(len(cb.positions)) if k != root),
-                  key=lambda k: (bounds[k], k))
-    order = [root] + rest
-    domains = [(1,)] + [tuple(range(bounds[k] + 1)) for k in rest]
-
-    search = _Search(B, order, domains, node_cap)
-    if workers == 1:
-        search.dfs([])
-    else:
-        prefixes = [[]]
-        depth = 0
-        while depth < len(order) and 0 < len(prefixes) < 4 * workers:
-            grown = []
-            for values in prefixes:
-                for val in domains[depth]:
-                    search.tick()
-                    trial = values + [val]
-                    ok, saturated, completion = search.feasible(trial)
-                    if not ok:
-                        continue
-                    if saturated:
-                        search.close_leaf(trial, completion)
-                    else:
-                        grown.append(trial)
-            prefixes = grown
-            depth += 1
-        if prefixes:
-            if depth == len(order):
-                for values in prefixes:
-                    search.close_leaf(values, None)
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    list(pool.map(search.dfs, prefixes))
+    rows = [[mat[j][i] for (j, i) in cb.positions] for mat in cb.basis]
+    pivots = [next(p for p, v in enumerate(row) if abs(v) > 1e-8)
+              for row in rows]
+    if cb.positions[pivots[0]] != (0, 0):
+        return []  # every element of the commutant has Z_00 = 0
+    boxes = [bounds[p] for p in pivots]
+    DB = None
+    if cb.rationalized:
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        ints = [[int(x * scale) for x in row] for row in rows]
+        widest = max(abs(x) for row in ints for x in row)
+        if widest * sum(bounds) < 2 ** 62:
+            DB = np.array(ints, dtype=np.int64)
+            caps = scale * np.array(bounds, dtype=np.int64)
+            slack = 0
+    if DB is None:
+        DB = np.array([[float(x) for x in row] for row in rows])
+        scale, caps, slack = 1.0, np.array(bounds, dtype=float), 1e-6
+    found = _coordinate_search(DB, scale, slack, boxes, caps, node_cap)
 
     results = []
-    shape = (right.rank, left.rank)
-    seen = set()
-    for vec in search.found:
-        Z = _scatter(vec, cb.positions, shape).astype(np.int64)
-        key = Z.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
+    js, is_ = np.array(cb.positions).T
+    for vec in found:
+        Z = np.zeros((right.rank, left.rank), dtype=np.int64)
+        Z[js, is_] = vec
         s_res = np.abs(Z @ left.S - right.S @ Z).max()
         t_res = np.abs(Z * left.T[None, :] - right.T[:, None] * Z).max()
         if s_res > max(tol, 1e-9) or t_res > max(tol, 1e-9):

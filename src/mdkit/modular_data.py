@@ -11,6 +11,7 @@ the invariant solver) consumes this type.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -315,10 +316,40 @@ def deligne_product(a: ModularData, b: ModularData) -> ModularData:
     """
     a.require_valid()
     b.require_valid()
-    S = np.kron(a.S, b.S)
-    T = np.kron(a.T, b.T)
-    labels = [f"{la}⊗{lb}" for la in a.labels for lb in b.labels]
-    return ModularData(S, T, labels=labels, eps=max(a.eps, b.eps))
+    return _DeligneProduct(a, b)
+
+
+class _DeligneProduct(ModularData):
+    """A Deligne product whose S is formed on first use.
+
+    Algebra screens on a product read only its dimensions and twists, so
+    the (rank_a rank_b)^2 S matrix is never built for them.  Once formed,
+    S equals the eager ``np.kron(a.S, b.S)`` bit for bit, and so do the
+    dimensions taken from its first row.
+    """
+
+    def __init__(self, a: ModularData, b: ModularData):
+        T = np.kron(a.T, b.T)
+        T.setflags(write=False)
+        self._factors = (a, b)
+        self.T = T
+        self.rank = a.rank * b.rank
+        self.labels = tuple(f"{la}⊗{lb}" for la in a.labels for lb in b.labels)
+        self.eps = max(a.eps, b.eps)
+        self._report = None
+
+    @functools.cached_property
+    def S(self) -> np.ndarray:
+        a, b = self._factors
+        S = np.kron(a.S, b.S)
+        S.setflags(write=False)
+        return S
+
+    @property
+    def dims(self) -> np.ndarray:
+        a, b = self._factors
+        row = np.kron(a.S[0], b.S[0])
+        return (row / row[0]).real
 
 
 def reverse(md: ModularData) -> ModularData:

@@ -93,6 +93,15 @@ def test_algebra_from_block_invariant():
     assert sum(c.mult) == int(np.asarray(z.Z).sum())
 
 
+def test_algebra_from_invariant_leaves_host_s_unformed():
+    # the screen reads only dimensions and twists of the rank-n^2 host;
+    # forming its S would cost (n^2)^2 complex entries per pair
+    md = su2_level(10)
+    cands = [algebra_from_invariant(md, md, z) for z in enumerate_invariants(md)]
+    assert all("S" not in vars(c.host) for c in cands)
+    assert cands[0].host.S.shape == (121, 121)
+
+
 def test_algebra_from_invariant_rejects_garbage():
     fib, ising = preset("fibonacci"), preset("ising")
     z = enumerate_invariants(fib)[0]

@@ -3,6 +3,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from mdkit.cli import run
@@ -177,3 +178,19 @@ def test_eps_flag_beats_env(monkeypatch):
     assert code == 1
     code, _, _ = mdk("validate", "preset:ising", "--eps", "1e-9")
     assert code == 0
+
+
+@pytest.mark.parametrize("exc", [
+    MemoryError(),
+    np.linalg.LinAlgError("SVD did not converge"),
+])
+def test_numeric_failures_exit_1(exc, monkeypatch):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("mdkit.cli.verlinde_fusion", fail)
+    code, out, err = mdk("fusion", "preset:ising")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from mdkit import (IncompleteEnumerationError, ModularInvariant,
+from mdkit import (IncompleteEnumerationError, ModularData, ModularInvariant,
                    classify_invariant, commutant_basis, enumerate_invariants,
                    evaluate, parse_spec, preset, su2_level)
-from mdkit.invariants import _classify
+from mdkit.invariants import _classify, _coordinate_search
 
 
 def build(spec):
@@ -174,3 +174,83 @@ def test_invariant_is_frozen():
     assert classify_invariant(z) == z.kind
     with pytest.raises(ValueError):
         z.Z[0, 0] = 5
+
+
+def ciz_count(k):
+    """Self-invariants of SU(2)_k in the Cappelli-Itzykson-Zuber ADE list:
+    A only for odd k and k <= 2; A and D for even k >= 4; one more
+    exceptional (E6, E7, E8) at k = 10, 16, 28."""
+    if k % 2 == 1 or k <= 2:
+        return 1
+    return 2 + (k in (10, 16, 28))
+
+
+@pytest.mark.parametrize("k", range(1, 33))
+def test_su2_counts_match_ciz(k):
+    assert len(enumerate_invariants(su2_level(k))) == ciz_count(k)
+
+
+def as_bytes(invs):
+    return sorted(np.ascontiguousarray(z).tobytes() for z in invs)
+
+
+@pytest.mark.parametrize("left, right", [
+    ("preset:toric_code", "preset:double_semion"),
+    ("double:Z_3", "tdouble:3:0"),
+    ("tdouble:2:0", "preset:toric_code"),
+])
+def test_swapping_sides_transposes(left, right):
+    a, b = build(left), build(right)
+    forward = [z.Z for z in enumerate_invariants(a, b)]
+    backward = [z.Z for z in enumerate_invariants(b, a)]
+    assert forward
+    assert as_bytes(backward) == as_bytes(Z.T for Z in forward)
+
+
+@pytest.mark.parametrize("spec, seed", [
+    ("su2:10", 3),
+    ("prod(su2:4,su2:4)", 11),
+])
+def test_relabeling_right_side_permutes_rows(spec, seed):
+    md = build(spec)
+    rng = np.random.default_rng(seed)
+    perm = np.concatenate(([0], 1 + rng.permutation(md.rank - 1)))
+    moved = ModularData(md.S[np.ix_(perm, perm)], md.T[perm],
+                        labels=[md.labels[i] for i in perm], eps=md.eps)
+    base = [z.Z for z in enumerate_invariants(md)]
+    got = [z.Z for z in enumerate_invariants(md, moved)]
+    assert as_bytes(got) == as_bytes(Z[perm] for Z in base)
+
+
+@pytest.mark.parametrize("spec", ["double:Z_4", "tdouble:4:0"])
+def test_z4_double_invariant_count(spec):
+    assert len(enumerate_invariants(build(spec))) == 22
+
+
+@pytest.mark.parametrize("left, right", [
+    ("su2:10", "su2:10"),
+    ("preset:toric_code", "preset:toric_code"),
+    ("preset:toric_code", "preset:double_semion"),
+])
+def test_float_basis_matches_exact(left, right, monkeypatch):
+    a, b = build(left), build(right)
+    exact = [z.Z.tobytes() for z in enumerate_invariants(a, b)]
+    monkeypatch.setattr("mdkit.invariants.rationalize_matrix",
+                        lambda *args, **kwargs: None)
+    assert commutant_basis(a, b).rationalized is False
+    floating = [z.Z.tobytes() for z in enumerate_invariants(a, b)]
+    assert floating == exact
+
+
+@pytest.mark.parametrize("DB, scale, slack", [
+    (np.array([[2, 0, 1], [0, 2, 1]]), 2, 0),
+    (np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]), 1.0, 1e-6),
+])
+def test_coordinate_search_kernel(DB, scale, slack):
+    # entries (c_0, c_1, (c_0 + c_1) / 2) with c_0 = 1 and c_1 in 0..3:
+    # only odd c_1 gives an integer third entry, and c_1 = 3 is the top
+    # of its box
+    caps = scale * np.array([1, 3, 3])
+    found = _coordinate_search(DB, scale, slack, [1, 3], caps, node_cap=100)
+    got = sorted(tuple(int(x) for x in vec) for vec in found)
+    assert got == [(1, 1, 1), (1, 3, 2)]

@@ -166,6 +166,19 @@ def test_deligne_product_structure():
     assert central_charge(prod) == (central_charge(a) + central_charge(b)) % 8
 
 
+@pytest.mark.parametrize("left,right", [("fibonacci", "semion"),
+                                        ("ising", "toric_code")])
+def test_deligne_product_matches_eager_kron(left, right):
+    a, b = preset(left), reverse(preset(right))
+    prod = deligne_product(a, b)
+    dims = prod.dims  # read before S is formed
+    eager = ModularData(np.kron(a.S, b.S), np.kron(a.T, b.T))
+    assert np.array_equal(prod.S, eager.S)
+    assert np.array_equal(prod.T, eager.T)
+    assert np.array_equal(dims, eager.dims)
+    assert not prod.S.flags.writeable and not prod.T.flags.writeable
+
+
 def test_reverse_conjugates():
     md = preset("ising")
     rev = reverse(md)
