@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .errors import (DegenerateFormError, DimensionMismatchError, MdkError,
+from .errors import (DegenerateFormError, DimensionMismatchError,
+                     IncompleteEnumerationError, MdkError,
                      UnknownPresetError)
 from .groups import (FiniteGroup, Subgroup, centralizer, character_table,
                      cyclic, group_from_table)
@@ -300,67 +301,112 @@ def preset(name: str, eps: float | None = None) -> ModularData:
     return ModularData(S, T, labels=labels, eps=eps)
 
 
+# Individualisation nodes the relabeling matcher tries before it raises;
+# at rank 144 a node costs 0.3-2 ms, so the cap is reached within 4 s.
+_RELABEL_NODE_CAP = 2000
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64: a fixed 64-bit mix, elementwise on uint64 arrays."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _value_classes(x: np.ndarray, tol: float) -> np.ndarray:
+    """Integer classes of the real array x: its sorted values split at gaps
+    wider than tol, so entries within tol of each other share a class."""
+    v = np.sort(x, axis=None)
+    wide = np.diff(v) > tol
+    return np.searchsorted((v[:-1][wide] + v[1:][wide]) / 2, x)
+
+
 def equivalent_up_to_relabeling(a: ModularData, b: ModularData,
                                 eps: float | None = None) -> list[int] | None:
     """Search for a relabeling identifying two modular data sets.
 
     Returns a permutation pi with pi(0) = 0, S_b[pi(i), pi(j)] = S_a[i, j]
-    and T_b[pi(i)] = T_a[i] within eps, or None if there is none.  The
-    search partitions objects by rounded (d_i, theta_i) fingerprints and
-    backtracks lexicographically inside the partition classes.
+    and T_b[pi(i)] = T_a[i] within eps, or None if there is none.  When
+    several exist, any one of them is returned; every one returned passes
+    that check, and a set compared with itself gives the identity.
+
+    Objects of both sets are coloured jointly by (d, theta), the unit apart,
+    and colours are refined by the multiset of (S-value class, colour) over
+    each S row until they are stable (1-WL colour refinement).  S entries
+    within eps of each other share a value class.  Unequal colour-class
+    sizes prove that no relabeling exists.  Otherwise the search
+    individualises the first object of a's smallest non-trivial class
+    against each object of that class in b, refines again and goes on
+    depth-first (McKay-Piperno, arXiv:1301.1493).
+
+    Raises
+    ------
+    IncompleteEnumerationError
+        If the search tries more than ``_RELABEL_NODE_CAP`` individualisations.
     """
     a.require_valid()
     b.require_valid()
     if a.rank != b.rank:
         return None
     tol = max(a.eps, b.eps) if eps is None else float(eps)
-
-    def fingerprint(md):
-        return [(round(float(d), 10), round(t.real, 10), round(t.imag, 10))
-                for d, t in zip(md.dims, md.T)]
-
-    fa, fb = fingerprint(a), fingerprint(b)
-    by_key: dict = {}
-    for j, key in enumerate(fb):
-        by_key.setdefault(key, []).append(j)
-    candidates = []
-    for i, key in enumerate(fa):
-        pool = by_key.get(key, [])
-        if not pool:
-            return None
-        candidates.append(pool)
-    if 0 not in candidates[0]:
-        return None
-
     n = a.rank
-    Sa, Sb, Ta, Tb = a.S, b.S, a.T, b.T
-    perm = [-1] * n
-    used = [False] * n
+    S, T = np.stack([a.S, b.S]), np.stack([a.T, b.T])
 
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        pool = [0] if i == 0 else candidates[i]
-        for j in pool:
-            if used[j] or abs(Tb[j] - Ta[i]) > tol:
-                continue
-            ok = True
-            for i2 in range(i):
-                if abs(Sb[j, perm[i2]] - Sa[i, i2]) > tol:
-                    ok = False
-                    break
-            if ok and abs(Sb[j, j] - Sa[i, i]) <= tol:
-                perm[i] = j
-                used[j] = True
-                if extend(i + 1):
-                    return True
-                used[j] = False
-                perm[i] = -1
-        return False
+    def entry_keys(z):  # a key per entry from its parts' value classes
+        re, im = _value_classes(np.stack([z.real, z.imag]), tol)
+        return _mix((re.astype(np.uint64) << np.uint64(32))
+                    | im.astype(np.uint64))
 
-    if not extend(0):
-        return None
-    pi = np.array(perm)
-    if np.abs(Sb[np.ix_(pi, pi)] - Sa).max() > tol or np.abs(Tb[pi] - Ta).max() > tol:
-        return None
-    return perm
+    values = entry_keys(S)
+    # d_i = S_0i / S_00, so the keys of row 0 colour by d; only the unit
+    # gets an even key
+    start = (values[:, 0, :] ^ _mix(entry_keys(T))) | np.uint64(1)
+    start[:, 0] = 0
+    # a fixed key per colour id; fewer than 2n ids are live at once
+    keys = _mix(np.arange(2 * n, dtype=np.uint64))
+    sides = np.repeat([1.0, -1.0], n)
+
+    def refine(colours, count):
+        while True:
+            # colour-class sizes of a minus those of b
+            if np.bincount(colours.ravel(), sides).any():
+                return None, count
+            own = keys[colours]
+            # both keys are mixed already, so half a splitmix round will do
+            z = values ^ own[:, None, :]
+            z ^= z >> np.uint64(31)
+            z *= np.uint64(0xBF58476D1CE4E5B9)
+            z ^= z >> np.uint64(29)
+            distinct, new = np.unique(z.sum(axis=2) ^ own,
+                                      return_inverse=True)
+            if distinct.size == count:
+                return colours, count
+            colours, count = new.reshape(2, n), distinct.size
+
+    distinct, colours = np.unique(start, return_inverse=True)
+    pending = [(colours.reshape(2, n), distinct.size)]
+    nodes = -1  # the root is no individualisation
+    while pending:
+        nodes += 1
+        if nodes > _RELABEL_NODE_CAP:
+            raise IncompleteEnumerationError(
+                f"relabeling search exceeded {_RELABEL_NODE_CAP} nodes",
+                nodes=nodes, cap=_RELABEL_NODE_CAP)
+        colours, count = refine(*pending.pop())
+        if colours is None:
+            continue
+        if count == n:  # discrete: one candidate left
+            pi = np.argsort(colours[1])[colours[0]]
+            if (np.abs(S[1][np.ix_(pi, pi)] - S[0]).max() <= tol
+                    and np.abs(T[1][pi] - T[0]).max() <= tol):
+                return pi.tolist()
+            continue
+        sizes = np.bincount(colours[0])
+        cell = np.where(sizes > 1, sizes, n + 1).argmin()
+        v = np.flatnonzero(colours[0] == cell)[0]
+        for w in np.flatnonzero(colours[1] == cell)[::-1]:
+            branch = colours.copy()
+            branch[0, v] = branch[1, w] = count
+            pending.append((branch, count + 1))
+    return None

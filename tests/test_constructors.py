@@ -169,11 +169,13 @@ def test_double_d4_vs_q8():
     assert equivalent_up_to_relabeling(a, b) is None
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_twisted_double_p0_matches_double(n):
     a = twisted_double_cyclic(n, 0)
     b = drinfeld_double(cyclic(n))
-    assert equivalent_up_to_relabeling(a, b) is not None
+    pi = np.array(equivalent_up_to_relabeling(a, b))
+    assert np.abs(b.S[np.ix_(pi, pi)] - a.S).max() < 1e-9
+    assert np.abs(b.T[pi] - a.T).max() < 1e-9
 
 
 def test_twisted_double_semion():
