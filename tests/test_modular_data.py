@@ -1,16 +1,24 @@
 """Tests for the core data type, its axiom checks, and the derived
 quantities (fusion, Gauss sums, central charge, products)."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mdkit import (DimensionMismatchError, MdkError, ModularData,
                    NonIntegralError, ValidationFailedError, central_charge,
-                   charge_conjugation, cyclic, deligne_product, gauss_sum,
-                   pointed, preset, reverse, unit_root, validate,
-                   verlinde_fusion)
+                   charge_conjugation, cyclic, deligne_product, evaluate,
+                   gauss_sum, parse_spec, pointed, preset, reverse, unit_root,
+                   validate, verlinde_fusion)
+from mdkit.modular_data import _check_ring
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TORIC_S = 0.5 * np.array([[1, 1, 1, 1], [1, 1, -1, -1],
                           [1, -1, 1, -1], [1, -1, -1, 1]], dtype=complex)
@@ -134,6 +142,101 @@ def test_verlinde_rejects_non_modular_input():
     S = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     with pytest.raises((MdkError, NonIntegralError)):
         verlinde_fusion(ModularData(S, [1.0, 1.0]))
+
+
+def fusion_tensor(*products):
+    """Fusion tensor from ((i, j), row) pairs; unit row and column implied."""
+    n = len(products[0][1])
+    N = np.zeros((n, n, n), dtype=np.int64)
+    N[0] = N[:, 0] = np.eye(n, dtype=np.int64)
+    for (i, j), row in products:
+        N[i, j] = N[j, i] = row
+    return N
+
+
+def test_check_ring_accepts_fibonacci_and_z3():
+    _check_ring(fusion_tensor(((1, 1), [1, 1])))
+    _check_ring(fusion_tensor(((1, 1), [0, 0, 1]), ((1, 2), [1, 0, 0]),
+                              ((2, 2), [0, 1, 0])))
+
+
+def test_check_ring_rejects_broken_unit_row():
+    N = fusion_tensor(((1, 1), [1, 1]))
+    N[0, 1] = [1, 0]
+    with pytest.raises(MdkError, match="unit row"):
+        _check_ring(N)
+
+
+def test_check_ring_rejects_noncommutative():
+    N = fusion_tensor(((1, 1), [1, 1]))
+    N[1, 0] = [1, 0]
+    with pytest.raises(MdkError, match="not commutative"):
+        _check_ring(N)
+
+
+def test_check_ring_rejects_nonassociative():
+    # a*a = b, a*b = a, b*b = 1: (a*a)*b = 1 but a*(a*b) = b
+    N = fusion_tensor(((1, 1), [0, 0, 1]), ((1, 2), [0, 1, 0]),
+                      ((2, 2), [1, 0, 0]))
+    with pytest.raises(MdkError, match="associativity"):
+        _check_ring(N)
+
+
+def test_check_ring_large_coefficients_stay_exact():
+    # x*x = 1 + 2^27 x is associative, and n * max(N)^2 >= 2^53 puts the
+    # check on the int64 products
+    _check_ring(fusion_tensor(((1, 1), [1, 2 ** 27])))
+    # x*x = x, x*z = 2^27 x, z*z = 1 + 2^27 z: (x*z)*z = 2^54 x but
+    # x*(z*z) = (2^54 + 1) x, a difference float64 cannot represent
+    assert np.float64(2 ** 54) == np.float64(2 ** 54 + 1)
+    N = fusion_tensor(((1, 1), [0, 1, 0]), ((1, 2), [0, 2 ** 27, 0]),
+                      ((2, 2), [1, 0, 2 ** 27]))
+    with pytest.raises(MdkError, match="associativity"):
+        _check_ring(N)
+
+
+@pytest.mark.parametrize("spec, seed", [
+    ("su2:10", 1),
+    ("tdouble:6:1", 2),
+    ("prod(double:S3,preset:ising)", 3),
+])
+def test_verlinde_relabeling_covariance(spec, seed):
+    md = evaluate(parse_spec(spec))
+    rng = np.random.default_rng(seed)
+    p = np.concatenate(([0], 1 + rng.permutation(md.rank - 1)))
+    moved = ModularData(md.S[np.ix_(p, p)], md.T[p], eps=md.eps)
+    N = verlinde_fusion(md).N
+    assert np.array_equal(verlinde_fusion(moved).N, N[np.ix_(p, p, p)])
+
+
+def test_verlinde_rank49_matches_pinned_digest():
+    # same recipe and value as the benchmark's scale reference
+    N = verlinde_fusion(evaluate(parse_spec("tdouble:7:3"))).N
+    h = hashlib.sha256(repr(N.shape).encode())
+    h.update(np.ascontiguousarray(N, dtype=np.int64).tobytes())
+    assert h.hexdigest()[:24] == "504bee82c684d683fe26a842"
+
+
+def test_verlinde_rank64_peak_rss():
+    code = ("import resource\n"
+            "from mdkit import evaluate, parse_spec, verlinde_fusion\n"
+            "verlinde_fusion(evaluate(parse_spec('tdouble:8:3')))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    # Linux carries a parent's RSS high-water mark into its child's
+    # ru_maxrss, so the measuring process is started by a small interpreter
+    # rather than by the test process itself.
+    launch = ("import subprocess, sys\n"
+              "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]])"
+              ".returncode)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", launch, code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak_kb = int(proc.stdout)
+    if sys.platform == "darwin":  # ru_maxrss is in bytes there
+        peak_kb //= 1024
+    assert peak_kb < 150 * 1024
 
 
 @pytest.mark.parametrize("name, charge", [
