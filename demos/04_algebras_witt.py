@@ -15,7 +15,7 @@ from mdkit import (anisotropy_screen, local_modules_dim, preset,
 tc = preset("toric_code")
 cand = screen_algebra(tc, [1, 1, 0, 0])
 for v in cand.verdicts:
-    print(f"  {v.check:22s} {'pass' if v.passed else 'FAIL'}")
+    print(f"  {v.name:22s} {'pass' if v.passed else 'FAIL'}")
 print("local module dim:", local_modules_dim(cand))
 
 # The fermion 1 + f fails: f has twist -1, and a commutative algebra

@@ -24,7 +24,7 @@ from .constructors import (PRESETS, QuadraticForm, drinfeld_double,
                            su2_level, twisted_double_cyclic)
 from .invariants import (CommutantBasis, ModularInvariant, classify_invariant,
                          commutant_basis, enumerate_invariants)
-from .algebras import (AlgebraCandidate, AnisotropyReport, Verdict,
+from .algebras import (AlgebraCandidate, AnisotropyReport,
                        WittInvariants, WittObstruction,
                        algebra_from_invariant, anisotropy_screen,
                        local_modules_dim, screen_algebra, witt_invariants,
@@ -51,7 +51,7 @@ __all__ = [
     "su2_level", "preset", "PRESETS", "equivalent_up_to_relabeling",
     "CommutantBasis", "ModularInvariant", "commutant_basis",
     "enumerate_invariants", "classify_invariant",
-    "Verdict", "AlgebraCandidate", "screen_algebra", "local_modules_dim",
+    "AlgebraCandidate", "screen_algebra", "local_modules_dim",
     "algebra_from_invariant", "WittInvariants", "witt_invariants",
     "witt_product", "witt_inverse", "WittObstruction", "witt_obstruction",
     "AnisotropyReport", "anisotropy_screen",

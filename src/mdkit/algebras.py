@@ -15,28 +15,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, MdkError, NonRationalChargeError,
-                     SearchBudgetError)
+from .errors import (DimensionMismatchError, IncompleteEnumerationError,
+                     MdkError, NonRationalChargeError, SearchBudgetError)
 from .invariants import ModularInvariant
-from .modular_data import (ModularData, central_charge, deligne_product,
-                           gauss_sum, reverse)
+from .modular_data import (Check, ModularData, central_charge,
+                           deligne_product, gauss_sum, reverse)
 
 __all__ = [
-    "Verdict", "AlgebraCandidate", "screen_algebra", "local_modules_dim",
+    "AlgebraCandidate", "screen_algebra", "local_modules_dim",
     "algebra_from_invariant", "WittInvariants", "witt_invariants",
     "witt_product", "witt_inverse", "WittObstruction", "witt_obstruction",
     "AnisotropyReport", "anisotropy_screen",
 ]
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """One named screening outcome; advisory checks have required=False."""
-
-    check: str
-    passed: bool
-    residual: float
-    required: bool = True
+# Nodes the Witt search for a Lagrangian candidate visits before it
+# gives up and reports the verdict as inconclusive.
+_LAGRANGIAN_NODE_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -50,15 +45,15 @@ class AlgebraCandidate:
     host: ModularData
     mult: tuple[int, ...]
     dim_gamma: float
-    verdicts: tuple[Verdict, ...]
+    verdicts: tuple[Check, ...]
 
     @property
     def passes(self) -> bool:
         return all(v.passed for v in self.verdicts if v.required)
 
-    def verdict(self, check: str) -> Verdict:
+    def verdict(self, check: str) -> Check:
         for v in self.verdicts:
-            if v.check == check:
+            if v.name == check:
                 return v
         raise KeyError(check)
 
@@ -70,28 +65,28 @@ def _dimension_slack(md: ModularData, eps: float) -> float:
 
 
 def _screen_verdicts(host: ModularData, mult: np.ndarray, eps: float,
-                     lenient: bool) -> tuple[float, list[Verdict]]:
+                     lenient: bool) -> tuple[float, list[Check]]:
     d = host.dims
     dim = host.global_dim
     dgamma = float(mult @ d)
-    verdicts = [Verdict("unit_multiplicity", True, 0.0)]
+    verdicts = [Check("unit_multiplicity", True, 0.0)]
 
     over = dgamma * dgamma - dim
-    verdicts.append(Verdict("dimension_bound", over <= _dimension_slack(host, eps),
-                            max(0.0, over)))
+    verdicts.append(Check("dimension_bound", over <= _dimension_slack(host, eps),
+                          max(0.0, over)))
 
     support = np.flatnonzero(mult)
     twist_res = float(np.abs(host.T[support] - 1.0).max()) if support.size else 0.0
-    verdicts.append(Verdict("trivial_twist_support", twist_res <= eps,
-                            twist_res, required=not lenient))
+    verdicts.append(Check("trivial_twist_support", twist_res <= eps,
+                          twist_res, required=not lenient))
 
     mult_res = float(np.max(mult - d)) if host.rank else 0.0
-    verdicts.append(Verdict("multiplicity_bound", mult_res <= 1e-6,
-                            max(0.0, mult_res), required=not lenient))
+    verdicts.append(Check("multiplicity_bound", mult_res <= 1e-6,
+                          max(0.0, mult_res), required=not lenient))
 
     quotient = dim / (dgamma * dgamma)
-    verdicts.append(Verdict("local_quotient", quotient >= 1.0 - 1e-6,
-                            max(0.0, 1.0 - quotient)))
+    verdicts.append(Check("local_quotient", quotient >= 1.0 - 1e-6,
+                          max(0.0, 1.0 - quotient)))
     return dgamma, verdicts
 
 
@@ -182,7 +177,7 @@ def algebra_from_invariant(left: ModularData, right: ModularData,
     dgamma, verdicts = _screen_verdicts(host, vec, eps, lenient)
     target = math.sqrt(left.global_dim * right.global_dim)
     res = abs(dgamma - target)
-    verdicts.append(Verdict("maximal", res < 1e-6, res))
+    verdicts.append(Check("maximal", res < 1e-6, res))
     return AlgebraCandidate(host, tuple(int(x) for x in vec), dgamma,
                             tuple(verdicts))
 
@@ -204,54 +199,46 @@ class WittInvariants:
     reasons: tuple[str, ...]
 
 
-class _Budget(Exception):
-    pass
+def _candidate_vectors(md: ModularData, eps: float, lo: float, hi: float,
+                       node_cap: float):
+    """Yield every integer vector n with n_0 = 1, 0 <= n_i <= floor(d_i +
+    1e-6) on the trivial-twist objects (|theta_i - 1| <= eps), zero
+    elsewhere, and lo <= sum n_i d_i <= hi.
 
-
-def _lagrangian_search(md: ModularData, eps: float,
-                       node_cap: int = 10 ** 6):
-    """Find n with n_0=1, n_i <= d_i, trivial-twist support and
-    sum n_i d_i = sqrt(dim) within 1e-4.  Returns (vector | None,
-    budget_exhausted)."""
+    Objects are taken by decreasing d_i and each n_i from its bound down
+    to 0.  A branch is cut when its running sum passes hi, or when even
+    the largest completion stays below lo.  Raises
+    IncompleteEnumerationError once more than node_cap nodes are visited.
+    """
     d = md.dims
-    target = math.sqrt(md.global_dim)
-    idx = [i for i in range(1, md.rank) if abs(md.T[i] - 1.0) <= eps]
-    idx.sort(key=lambda i: -d[i])
-    bounds = [int(math.floor(d[i] + 1e-6)) for i in idx]
-    suffix = np.zeros(len(idx) + 1)
-    for k in range(len(idx) - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + bounds[k] * d[idx[k]]
-
-    chosen = [0] * len(idx)
-    state = {"nodes": 0}
-
-    def dfs(k: int, acc: float):
-        state["nodes"] += 1
-        if state["nodes"] > node_cap:
-            raise _Budget
-        if abs(acc - target) < 1e-4:
-            return True
-        if acc > target + 1e-4 or acc + suffix[k] < target - 1e-4:
-            return False
-        if k == len(idx):
-            return False
-        for n in range(bounds[k], -1, -1):
-            chosen[k] = n
-            if dfs(k + 1, acc + n * d[idx[k]]):
-                return True
-        chosen[k] = 0
-        return False
-
-    try:
-        if not dfs(0, 1.0):
-            return None, False
-    except _Budget:
-        return None, True
-    vec = [0] * md.rank
+    live = [i for i in range(1, md.rank) if abs(md.T[i] - 1.0) <= eps]
+    live.sort(key=lambda i: -d[i])
+    bounds = [int(math.floor(d[i] + 1e-6)) for i in live]
+    suffix = [0.0] * (len(live) + 1)
+    for k in range(len(live) - 1, -1, -1):
+        suffix[k] = suffix[k + 1] + bounds[k] * d[live[k]]
+    vec = np.zeros(md.rank, dtype=np.int64)
     vec[0] = 1
-    for k, i in enumerate(idx):
-        vec[i] = chosen[k]
-    return tuple(vec), False
+    nodes = 0
+
+    def walk(k: int, acc: float):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_cap:
+            raise IncompleteEnumerationError(
+                f"candidate search exceeded {node_cap} nodes",
+                nodes=nodes, cap=node_cap)
+        if acc > hi or acc + suffix[k] < lo:
+            return
+        if k == len(live):
+            yield vec.copy()
+            return
+        i = live[k]
+        for n in range(bounds[k], -1, -1):
+            vec[i] = n
+            yield from walk(k + 1, acc + n * d[i])
+
+    return walk(0, 1.0)
 
 
 def witt_invariants(md: ModularData, eps: float | None = None) -> WittInvariants:
@@ -267,14 +254,16 @@ def witt_invariants(md: ModularData, eps: float | None = None) -> WittInvariants
         reasons.append("central charge not recognized as a rational number")
     if charge is not None and charge != 0:
         reasons.append(f"central charge {charge} is nonzero mod 8")
-    found, exhausted = _lagrangian_search(md, eps)
-    if found is None:
-        if exhausted:
-            reasons.append("no trivial-twist candidate of dimension sqrt(dim) "
-                           "found within the search budget (inconclusive)")
-        else:
-            reasons.append("no trivial-twist multiplicity vector reaches "
-                           "dimension sqrt(dim)")
+    target = math.sqrt(md.global_dim)
+    try:
+        next(_candidate_vectors(md, eps, target - 1e-4, target + 1e-4,
+                                _LAGRANGIAN_NODE_CAP))
+    except IncompleteEnumerationError:
+        reasons.append("no trivial-twist candidate of dimension sqrt(dim) "
+                       "found within the search budget (inconclusive)")
+    except StopIteration:
+        reasons.append("no trivial-twist multiplicity vector reaches "
+                       "dimension sqrt(dim)")
     return WittInvariants(md.global_dim, charge, gauss_sum(md),
                           not reasons, tuple(reasons))
 
@@ -358,28 +347,12 @@ def anisotropy_screen(md: ModularData, eps: float | None = None) -> AnisotropyRe
         raise SearchBudgetError(
             f"{budget:.3g} candidate vectors exceed the 1e7 search budget")
 
-    # only trivial-twist support can pass the screens, so enumerate there
-    live = [i for i in range(1, md.rank) if abs(md.T[i] - 1.0) <= eps]
-    dim = md.global_dim
-    slack = _dimension_slack(md, eps)
-    found: list[tuple[int, ...]] = []
-    vec = np.zeros(md.rank, dtype=np.int64)
-    vec[0] = 1
-
-    def dfs(k: int, acc: float):
-        if acc * acc > dim + slack:
-            return
-        if k == len(live):
-            if screen_algebra(md, vec.copy(), eps=eps).passes:
-                found.append(tuple(int(x) for x in vec))
-            return
-        i = live[k]
-        for n in range(int(math.floor(d[i] + 1e-6)) + 1):
-            vec[i] = n
-            dfs(k + 1, acc + n * d[i])
-        vec[i] = 0
-
-    dfs(0, 1.0)
+    # only trivial-twist support can pass the screens, so enumerate there;
+    # the box check above bounds the tree, so no node cap is needed
+    hi = math.sqrt(md.global_dim + _dimension_slack(md, eps))
+    found = [tuple(int(x) for x in vec)
+             for vec in _candidate_vectors(md, eps, 0.0, hi, math.inf)
+             if screen_algebra(md, vec, eps=eps).passes]
     found.sort(key=lambda t: (sum(t), t))
     nontrivial = tuple(t for t in found if sum(t[1:]) > 0)
     return AnisotropyReport(md.rank, tuple(found), nontrivial,

@@ -80,9 +80,9 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _check_rows(report):
+def _check_rows(checks):
     return [{"check": c.name, "pass": bool(c.passed),
-             "residual": float(c.residual)} for c in report.checks]
+             "residual": float(c.residual)} for c in checks]
 
 
 def _cmd_validate(args) -> int:
@@ -90,7 +90,8 @@ def _cmd_validate(args) -> int:
                   force=True)
     report = validate(md)
     if args.format == "json":
-        print(json.dumps({"ok": report.ok, "checks": _check_rows(report)}))
+        print(json.dumps({"ok": report.ok,
+                          "checks": _check_rows(report.checks)}))
     else:
         for c in report.checks:
             flag = "pass" if c.passed else "FAIL"
@@ -141,12 +142,11 @@ def _cmd_invariants(args) -> int:
 
 
 def _print_candidate(cand, args) -> None:
-    rows = [{"check": v.check, "pass": bool(v.passed),
-             "residual": float(v.residual)} for v in cand.verdicts]
     local = local_modules_dim(cand) if cand.passes else None
     if args.format == "json":
         doc = {"mult": list(cand.mult), "dim_gamma": cand.dim_gamma,
-               "passes": cand.passes, "verdicts": rows}
+               "passes": cand.passes,
+               "verdicts": _check_rows(cand.verdicts)}
         if local is not None:
             doc["local_modules_dim"] = local
         print(json.dumps(doc))
@@ -156,7 +156,7 @@ def _print_candidate(cand, args) -> None:
     for v in cand.verdicts:
         flag = "pass" if v.passed else "FAIL"
         note = "" if v.required else " (advisory)"
-        print(f"  {v.check:22s} {flag}  residual {v.residual:.6g}{note}")
+        print(f"  {v.name:22s} {flag}  residual {v.residual:.6g}{note}")
     print(f"screening: {'pass' if cand.passes else 'FAIL'}")
     if local is not None:
         trivial = "trivial" if abs(local - 1.0) <= 1e-6 else "nontrivial"
@@ -205,8 +205,7 @@ def _cmd_witt(args) -> int:
         for r in wi.reasons:
             print(f"  - {r}")
         return 0
-    right = evaluate(parse_spec(args.other), eps=args.eps, seed=args.seed,
-                     force=args.force)
+    right = _build_data(args, "other")
     ob = witt_obstruction(left, right)
     if args.format == "json":
         print(json.dumps({"verdict": ob.verdict, "reasons": list(ob.reasons)}))

@@ -156,8 +156,9 @@ def commutant_basis(left: ModularData, right: ModularData | None = None,
     return CommutantBasis(rL, rR, m, positions, basis, rationalized)
 
 
-class _GramBudget(Exception):
-    pass
+# Nodes the block-decomposition (Gram) search of classify_invariant
+# visits before the invariant falls through to "other".
+_GRAM_NODE_CAP = 100_000
 
 
 def _partitions_into_squares(r: int, mx: int):
@@ -171,7 +172,7 @@ def _partitions_into_squares(r: int, mx: int):
             yield (y,) + rest
 
 
-def _gram_rows(Z: np.ndarray, node_cap: int = 100_000):
+def _gram_rows(Z: np.ndarray):
     """Find nonnegative-integer C with C^T C = Z, or None.
 
     Builds Gram vectors column by column; coordinates introduced by each
@@ -194,8 +195,10 @@ def _gram_rows(Z: np.ndarray, node_cap: int = 100_000):
         def choose(t: int, norm_left: int, partial: list[int]) -> bool:
             nonlocal nodes
             nodes += 1
-            if nodes > node_cap:
-                raise _GramBudget
+            if nodes > _GRAM_NODE_CAP:
+                raise IncompleteEnumerationError(
+                    f"Gram search exceeded {_GRAM_NODE_CAP} nodes",
+                    nodes=nodes, cap=_GRAM_NODE_CAP)
             if t == used:
                 if any(partial[j] != targets[j] for j in range(i)):
                     return False
@@ -230,7 +233,7 @@ def _gram_rows(Z: np.ndarray, node_cap: int = 100_000):
 
     try:
         found = place(0)
-    except _GramBudget:
+    except IncompleteEnumerationError:
         return None
     if not found:
         return None
@@ -257,7 +260,8 @@ def classify_invariant(z: ModularInvariant) -> str:
 
     Block means Z = C^T C for some nonnegative-integer C whose first
     column is a unit vector; the decomposition search runs for ranks up
-    to 12, larger matrices fall through to "other".
+    to 12, larger matrices fall through to "other", and so does a matrix
+    whose search runs past its node cap.
     """
     return _classify(np.asarray(z.Z))
 

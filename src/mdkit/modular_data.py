@@ -33,10 +33,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Check:
-    """One named axiom check with its maximal residual."""
+    """One named check with its maximal residual.
+
+    Axiom checks and algebra screens share this record; an advisory
+    screen has required=False and does not count towards a verdict.
+    """
     name: str
     passed: bool
     residual: float
+    required: bool = True
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import CORPUS_SPECS
 from mdkit import (MdkError, SearchBudgetError, algebra_from_invariant,
                    anisotropy_screen, cyclic, deligne_product,
-                   drinfeld_double, enumerate_invariants, local_modules_dim,
-                   preset, reverse, screen_algebra, su2_level, witt_inverse,
-                   witt_invariants, witt_obstruction, witt_product)
+                   drinfeld_double, enumerate_invariants, evaluate,
+                   local_modules_dim, parse_spec, preset, reverse,
+                   screen_algebra, su2_level, witt_inverse, witt_invariants,
+                   witt_obstruction, witt_product)
 
 
 def test_screen_toric_lagrangians():
@@ -131,6 +133,32 @@ def test_witt_center_candidates(build):
     assert wi.is_center_candidate
     assert wi.reasons == ()
     assert wi.central_charge == 0
+
+
+def test_witt_search_past_its_cap_is_inconclusive(monkeypatch):
+    md = drinfeld_double(cyclic(3))
+    monkeypatch.setattr("mdkit.algebras._LAGRANGIAN_NODE_CAP", 1)
+    wi = witt_invariants(md)
+    assert not wi.is_center_candidate
+    assert any("(inconclusive)" in r for r in wi.reasons)
+    monkeypatch.undo()
+    assert witt_invariants(md).is_center_candidate
+
+
+@pytest.mark.parametrize("spec", [
+    s for s in CORPUS_SPECS
+    if s not in ("su2:16", "double:Z_5", "double:Z_6", "double:D4",
+                 "double:Q8")  # refused by anisotropy_screen
+] + ["prod(preset:fibonacci,rev(preset:fibonacci))",
+     "prod(preset:ising,rev(preset:ising))"])
+def test_witt_lagrangian_matches_anisotropy_candidates(spec):
+    # one enumerator serves both screens: a Lagrangian candidate is an
+    # anisotropy candidate of dimension sqrt(dim)
+    md = evaluate(parse_spec(spec))
+    target = np.sqrt(md.global_dim)
+    dims = [np.dot(c, md.dims) for c in anisotropy_screen(md).candidates]
+    missing = any("sqrt(dim)" in r for r in witt_invariants(md).reasons)
+    assert missing == all(abs(d - target) >= 1e-4 for d in dims)
 
 
 def test_witt_product_and_inverse():

@@ -5,7 +5,7 @@ import pytest
 
 from mdkit import (IncompleteEnumerationError, ModularData, ModularInvariant,
                    classify_invariant, commutant_basis, enumerate_invariants,
-                   evaluate, parse_spec, preset, su2_level)
+                   evaluate, parse_spec, preset, reverse, su2_level)
 from mdkit.invariants import _classify, _coordinate_search
 
 
@@ -168,6 +168,14 @@ def test_classification_rules():
     assert _classify(np.array([[0, 1], [1, 0]])) == "permutation"
 
 
+def test_gram_search_past_its_cap_gives_other(monkeypatch):
+    block = np.array([[1, 0], [0, 2]])
+    monkeypatch.setattr("mdkit.invariants._GRAM_NODE_CAP", 1)
+    assert _classify(block) == "other"
+    monkeypatch.undo()
+    assert _classify(block) == "block"
+
+
 def test_invariant_is_frozen():
     z = enumerate_invariants(preset("fibonacci"))[0]
     assert isinstance(z, ModularInvariant)
@@ -205,6 +213,22 @@ def test_swapping_sides_transposes(left, right):
     backward = [z.Z for z in enumerate_invariants(b, a)]
     assert forward
     assert as_bytes(backward) == as_bytes(Z.T for Z in forward)
+
+
+@pytest.mark.parametrize("left, right", [
+    ("su2:10", "su2:10"),
+    ("preset:toric_code", "preset:double_semion"),
+    ("tdouble:3:1", "tdouble:3:1"),
+    ("prod(su2:4,su2:4)", "prod(su2:4,su2:4)"),
+])
+def test_reversing_both_sides_keeps_invariants(left, right):
+    # Z S_L = S_R Z and Z T_L = T_R Z are equivalent to their complex
+    # conjugates, and Z is real
+    a, b = build(left), build(right)
+    forward = [z.Z for z in enumerate_invariants(a, b)]
+    reversed_ = [z.Z for z in enumerate_invariants(reverse(a), reverse(b))]
+    assert forward
+    assert as_bytes(reversed_) == as_bytes(forward)
 
 
 @pytest.mark.parametrize("spec, seed", [
