@@ -205,7 +205,7 @@ def evaluate(spec: BuildSpec, eps: float | None = None, seed: int = 0,
     character-table degeneracy breaker used by double:G; `force` lets a
     non-validating file document through.
     """
-    from .serialize import (load_modular_data, load_pointed_doc,
+    from .serialize import (_slurp, load_modular_data, load_pointed_doc,
                             resolve_group)
     if isinstance(spec, Preset):
         return preset(spec.name, eps=eps)
@@ -226,11 +226,3 @@ def evaluate(spec: BuildSpec, eps: float | None = None, seed: int = 0,
     if isinstance(spec, File):
         return load_modular_data(_slurp(spec.path), force=force, eps=eps)
     raise TypeError(f"not a build spec: {spec!r}")
-
-
-def _slurp(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise MdkError(f"cannot read {path!r}: {exc}") from None

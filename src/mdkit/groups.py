@@ -71,10 +71,14 @@ def group_from_table(table) -> FiniteGroup:
     NotAGroupError
         Naming the first violated axiom and a witness element or triple.
     """
-    t = np.array(table, dtype=np.int64)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise NotAGroupError(f"table must be square, got shape {t.shape}",
-                             axiom="closure")
+    try:
+        t = np.asarray(table)
+    except ValueError:
+        raise NotAGroupError("table rows differ in length", axiom="closure") from None
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.dtype.kind not in "iu":
+        raise NotAGroupError(f"table must be a square integer array, got "
+                             f"shape {t.shape} of {t.dtype}", axiom="closure")
+    t = t.astype(np.int64)
     n = t.shape[0]
     if n < 1:
         raise NotAGroupError("empty table", axiom="closure")

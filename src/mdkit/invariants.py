@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import IncompleteEnumerationError, MdkError
 from .modular_data import ModularData
-from .numeric import rationalize_matrix, rref
+from .numeric import rationalize, rref
 
 __all__ = [
     "CommutantBasis", "ModularInvariant", "commutant_basis",
@@ -36,34 +37,60 @@ class CommutantBasis:
     Attributes
     ----------
     left_rank, right_rank : int
-    dimension : int
-        Number of basis elements.
     positions : tuple of (int, int)
         Row-major (j, i) entry positions not forced to zero by the
         T-relation; every basis matrix is supported here.
-    basis : tuple of matrices
-        Shape (right_rank, left_rank) each, in reduced row-echelon order
-        of their coefficient vectors.  Entries are `Fraction` (nested
-        tuples) when ``rationalized``, else float ndarrays.
+    coords : ndarray, shape (dimension, len(positions))
+        Reduced row-echelon coefficient rows over ``positions``: int64
+        numerators over ``denominator`` when ``rationalized``, else floats
+        over 1.  Row k holds ``denominator`` at index ``pivots[k]``.
     rationalized : bool
-        False when continued-fraction reconstruction failed and the raw
-        floating-point basis is returned instead.
+        False when continued-fraction reconstruction failed (or would not
+        fit int64) and the floating-point basis is kept instead.
     """
 
     left_rank: int
     right_rank: int
-    dimension: int
     positions: tuple[tuple[int, int], ...]
-    basis: tuple
+    coords: np.ndarray
+    denominator: int
+    pivots: tuple[int, ...]
     rationalized: bool
+
+    def __post_init__(self):
+        self.coords.setflags(write=False)
+
+    @property
+    def dimension(self) -> int:
+        """Number of basis elements."""
+        return self.coords.shape[0]
+
+    @cached_property
+    def basis(self) -> tuple:
+        """Basis matrices of shape (right_rank, left_rank), in echelon order.
+
+        Nested tuples of `Fraction` when ``rationalized``, else read-only
+        float ndarrays; built from ``coords`` on first access.
+        """
+        if not self.rationalized:
+            out = self.as_float()
+            out.setflags(write=False)
+            return tuple(out)
+        values, index = np.unique(self.coords, return_inverse=True)
+        fracs = np.array([Fraction(v, self.denominator) for v in values.tolist()],
+                         dtype=object)
+        grid = self._grid(fracs[index.reshape(self.coords.shape)], Fraction(0))
+        return tuple(tuple(map(tuple, mat)) for mat in grid.tolist())
 
     def as_float(self) -> np.ndarray:
         """Basis stacked as a float array of shape (dimension, rR, rL)."""
-        out = np.zeros((self.dimension, self.right_rank, self.left_rank))
-        for k, mat in enumerate(self.basis):
-            for j in range(self.right_rank):
-                for i in range(self.left_rank):
-                    out[k, j, i] = float(mat[j][i])
+        return self._grid(self.coords / self.denominator, 0.0)
+
+    def _grid(self, rows: np.ndarray, fill) -> np.ndarray:
+        out = np.full((self.dimension, self.right_rank, self.left_rank), fill,
+                      dtype=rows.dtype)
+        js, is_ = np.array(self.positions).T
+        out[:, js, is_] = rows
         return out
 
 
@@ -80,13 +107,6 @@ class ModularInvariant:
         self.Z.setflags(write=False)
 
 
-def _scatter(vec, positions, shape):
-    out = np.zeros(shape)
-    for val, (j, i) in zip(vec, positions):
-        out[j, i] = val
-    return out
-
-
 def commutant_basis(left: ModularData, right: ModularData | None = None,
                     eps: float | None = None) -> CommutantBasis:
     """Solve the linear intertwiner equations.
@@ -97,9 +117,10 @@ def commutant_basis(left: ModularData, right: ModularData | None = None,
     at least as many rows as unknowns, so the thin SVD yields the same
     right singular vectors as the full one without forming the square
     left factor.  The null-space basis is canonicalized by reduced row
-    echelon form and rationalized entry by entry with denominators up to
-    10^6; if any entry resists, the float basis is kept and
-    ``rationalized`` is False.
+    echelon form and written as int64 numerators over one common
+    denominator, each distinct value approximated with denominator up to
+    10^6; if any entry resists, or the rationalized rows no longer solve
+    the system, the float basis is kept and ``rationalized`` is False.
     """
     if right is None:
         right = left
@@ -111,8 +132,6 @@ def commutant_basis(left: ModularData, right: ModularData | None = None,
     positions = tuple((j, i) for j in range(rR) for i in range(rL)
                       if abs(right.T[j] - left.T[i]) < tol)
     P = len(positions)
-    if P == 0:
-        return CommutantBasis(rL, rR, 0, positions, (), True)
 
     A = np.zeros((rR * rL, P), dtype=complex)
     cols = np.arange(rL)
@@ -128,32 +147,18 @@ def commutant_basis(left: ModularData, right: ModularData | None = None,
     null = vt[rank:]
     m = null.shape[0]
     if m == 0:
-        return CommutantBasis(rL, rR, 0, positions, (), True)
+        return CommutantBasis(rL, rR, positions, np.zeros((0, P), np.int64),
+                              1, (), True)
 
-    R, _ = rref(null, tol=1e-10)
+    R, pivots = rref(null, tol=1e-10)
     if R.shape[0] != m:
         raise MdkError("null-space basis lost rank during canonicalization")
 
-    exact = rationalize_matrix(R, max_den=10 ** 6, tol=1e-7)
-    rationalized = exact is not None
-    if rationalized:
-        # the rationalized rows must still solve the system
-        Rq = np.array([[float(x) for x in row] for row in exact])
-        if np.abs(M @ Rq.T).max() > 1e-6:
-            rationalized = False
-    if rationalized:
-        mats = []
-        for row in exact:
-            grid = [[Fraction(0)] * rL for _ in range(rR)]
-            for val, (j, i) in zip(row, positions):
-                grid[j][i] = val
-            mats.append(tuple(tuple(r) for r in grid))
-        basis = tuple(mats)
-    else:
-        basis = tuple(_scatter(row, positions, (rR, rL)) for row in R)
-        for b in basis:
-            b.setflags(write=False)
-    return CommutantBasis(rL, rR, m, positions, basis, rationalized)
+    exact = rationalize(R, max_den=10 ** 6, tol=1e-7)
+    # the rationalized rows must still solve the system
+    if exact is None or np.abs(M @ (exact[0] / exact[1]).T).max() > 1e-6:
+        return CommutantBasis(rL, rR, positions, R, 1, tuple(pivots), False)
+    return CommutantBasis(rL, rR, positions, *exact, tuple(pivots), True)
 
 
 # Nodes the block-decomposition (Gram) search of classify_invariant
@@ -363,33 +368,21 @@ def enumerate_invariants(left: ModularData, right: ModularData | None = None,
         right = left
     tol = max(left.eps, right.eps) if eps is None else float(eps)
     cb = commutant_basis(left, right, eps=eps)
-    if cb.dimension == 0:
-        return []
-
-    dL, dR = left.dims, right.dims
-    bounds = [int(math.floor(dL[i] * dR[j] + 1e-6)) for (j, i) in cb.positions]
-    rows = [[mat[j][i] for (j, i) in cb.positions] for mat in cb.basis]
-    pivots = [next(p for p, v in enumerate(row) if abs(v) > 1e-8)
-              for row in rows]
-    if cb.positions[pivots[0]] != (0, 0):
+    if cb.dimension == 0 or cb.positions[cb.pivots[0]] != (0, 0):
         return []  # every element of the commutant has Z_00 = 0
-    boxes = [bounds[p] for p in pivots]
-    DB = None
-    if cb.rationalized:
-        scale = math.lcm(*(x.denominator for row in rows for x in row))
-        ints = [[int(x * scale) for x in row] for row in rows]
-        widest = max(abs(x) for row in ints for x in row)
-        if widest * sum(bounds) < 2 ** 62:
-            DB = np.array(ints, dtype=np.int64)
-            caps = scale * np.array(bounds, dtype=np.int64)
-            slack = 0
-    if DB is None:
-        DB = np.array([[float(x) for x in row] for row in rows])
-        scale, caps, slack = 1.0, np.array(bounds, dtype=float), 1e-6
+    js, is_ = np.array(cb.positions).T
+    bounds = np.floor(left.dims[is_] * right.dims[js] + 1e-6).astype(np.int64)
+    boxes = bounds[list(cb.pivots)]
+    widest = int(np.abs(cb.coords).max())
+    if cb.rationalized and widest * int(bounds.sum()) < 2 ** 62:
+        DB, scale, slack = cb.coords, cb.denominator, 0
+        caps = scale * bounds
+    else:
+        DB, scale, slack = cb.coords / cb.denominator, 1.0, 1e-6
+        caps = bounds.astype(float)
     found = _coordinate_search(DB, scale, slack, boxes, caps, node_cap)
 
     results = []
-    js, is_ = np.array(cb.positions).T
     for vec in found:
         Z = np.zeros((right.rank, left.rank), dtype=np.int64)
         Z[js, is_] = vec

@@ -62,14 +62,6 @@ def nearest_int(x, eps: float = INTEGER_EPS, what: str = "value", where=None) ->
     return int(r)
 
 
-def as_fraction(x: float, max_den: int, tol: float) -> Fraction | None:
-    """Best rational approximation with bounded denominator, or None."""
-    frac = Fraction(x).limit_denominator(max_den)
-    if abs(float(frac) - x) <= tol:
-        return frac
-    return None
-
-
 def phase_fraction(z: complex, max_den: int, tol: float) -> Fraction | None:
     """Write z/|z| as e^{2 pi i t} with t rational, denominator <= max_den.
 
@@ -129,15 +121,23 @@ def rref(mat: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, list[int]]:
     return a[:row], pivots
 
 
-def rationalize_matrix(mat: np.ndarray, max_den: int, tol: float):
-    """Entrywise rational approximation; returns nested Fraction lists or None."""
-    out = []
-    for row in np.atleast_2d(mat):
-        frow = []
-        for x in row:
-            frac = as_fraction(float(x), max_den, tol)
-            if frac is None:
-                return None
-            frow.append(frac)
-        out.append(frow)
-    return out
+def rationalize(mat: np.ndarray, max_den: int, tol: float):
+    """Write a float matrix as int64 numerators over one common denominator.
+
+    Each distinct value (after rounding to 12 decimals) is approximated
+    once by the fraction with denominator at most max_den nearest to it.
+    Returns (numerators, denominator), or None if some entry lies farther
+    than tol from its fraction or a numerator or the denominator does
+    not fit int64.
+    """
+    mat = np.asarray(mat, dtype=float)
+    keys, index = np.unique(np.round(mat, 12), return_inverse=True)
+    fracs = [Fraction(float(x)).limit_denominator(max_den) for x in keys]
+    den = math.lcm(*(f.denominator for f in fracs))
+    nums = [f.numerator * (den // f.denominator) for f in fracs]
+    if max(den, *map(abs, nums)) >= 2 ** 63:
+        return None
+    ints = np.array(nums, dtype=np.int64)[index.reshape(mat.shape)]
+    if (np.abs(ints / den - mat) > tol).any():
+        return None
+    return ints, den

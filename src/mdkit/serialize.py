@@ -113,11 +113,11 @@ def load_group(text: str) -> FiniteGroup:
         raise MdkError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "table" not in doc:
         raise MdkError("group document must be an object with a 'table' field")
-    table = doc["table"]
-    if "order" in doc and doc["order"] != len(table):
+    group = group_from_table(doc["table"])
+    if "order" in doc and doc["order"] != group.order:
         raise MdkError(f"declared order {doc['order']} does not match the "
-                       f"table size {len(table)}")
-    return group_from_table(table)
+                       f"table size {group.order}")
+    return group
 
 
 def resolve_group(name_or_path: str) -> FiniteGroup:
@@ -130,8 +130,15 @@ def resolve_group(name_or_path: str) -> FiniteGroup:
     if not os.path.exists(name_or_path):
         raise MdkError(f"{name_or_path!r} is neither a group preset nor an "
                        f"existing file")
-    with open(name_or_path, "r", encoding="utf-8") as fh:
-        return load_group(fh.read())
+    return load_group(_slurp(name_or_path))
+
+
+def _slurp(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise MdkError(f"cannot read {path!r}: {exc}") from None
 
 
 def load_pointed_doc(text: str):
@@ -160,7 +167,8 @@ def load_pointed_doc(text: str):
     q = [_complex_in(x, f"q[{i}]") for i, x in enumerate(qdoc)]
     labels = doc.get("labels")
     if labels is not None and (not isinstance(labels, list)
-                               or len(labels) != group.order):
+                               or len(labels) != group.order
+                               or not all(isinstance(x, str) for x in labels)):
         raise MdkError(f"labels must be {group.order} strings")
     return group, q, labels
 

@@ -194,3 +194,23 @@ def test_numeric_failures_exit_1(exc, monkeypatch):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("prefix, doc", [
+    ("double:", {"order": 2, "table": 5}),
+    ("double:", {"table": [[0, 1], [1]]}),
+    ("double:", {"table": [["e", "a"], ["a", "e"]]}),
+    ("double:", None),  # a directory, not a file
+    ("pointed:", {"group": "Z_2", "labels": [1, {"a": 2}],
+                  "q": [{"re": 1, "im": 0}, {"re": 0, "im": 1}]}),
+])
+def test_malformed_input_files_exit_1(prefix, doc, tmp_path):
+    path = tmp_path / "doc.json"
+    if doc is None:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(doc))
+    code, out, err = mdk("build", prefix + str(path))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -1,5 +1,7 @@
 """Tests for the commutant basis and the modular invariant solver."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -259,7 +261,7 @@ def test_z4_double_invariant_count(spec):
 def test_float_basis_matches_exact(left, right, monkeypatch):
     a, b = build(left), build(right)
     exact = [z.Z.tobytes() for z in enumerate_invariants(a, b)]
-    monkeypatch.setattr("mdkit.invariants.rationalize_matrix",
+    monkeypatch.setattr("mdkit.invariants.rationalize",
                         lambda *args, **kwargs: None)
     assert commutant_basis(a, b).rationalized is False
     floating = [z.Z.tobytes() for z in enumerate_invariants(a, b)]
@@ -278,3 +280,41 @@ def test_coordinate_search_kernel(DB, scale, slack):
     found = _coordinate_search(DB, scale, slack, [1, 3], caps, node_cap=100)
     got = sorted(tuple(int(x) for x in vec) for vec in found)
     assert got == [(1, 1, 1), (1, 3, 2)]
+
+
+@pytest.mark.parametrize("spec, denominator", [
+    ("double:Q8", 8),
+    ("prod(double:S3,double:Z_2)", 4),
+])
+def test_basis_views_of_the_integer_form(spec, denominator):
+    cb = commutant_basis(build(spec))
+    assert cb.rationalized and cb.denominator == denominator
+    assert cb.coords.dtype == np.int64
+    assert (cb.coords[np.arange(cb.dimension), cb.pivots] == denominator).all()
+    js, is_ = np.array(cb.positions).T
+    for row, mat in zip(cb.coords, cb.basis):
+        grid = np.array(mat, dtype=object)
+        assert (grid[js, is_] == [Fraction(int(x), denominator) for x in row]).all()
+    as_fractions = np.array([[[float(x) for x in r] for r in mat]
+                             for mat in cb.basis])
+    assert cb.as_float().tobytes() == as_fractions.tobytes()
+
+
+def test_commutant_and_search_build_no_fraction_per_entry(monkeypatch):
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    md = build("double:S3")
+    md.require_valid()
+    monkeypatch.setattr("mdkit.numeric.Fraction", Counted)
+    monkeypatch.setattr("mdkit.invariants.Fraction", Counted)
+    cb = commutant_basis(md)
+    assert len(enumerate_invariants(md)) == 48
+    # the two commutant_basis calls (one here, one in the search) each
+    # approximate the 4 distinct values of the 11 x 28 echelon basis once
+    assert cb.coords.shape == (11, 28)
+    assert len(made) == 2 * np.unique(cb.coords).size == 8

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdkit import NonIntegralError, phase_fraction, unit_root
-from mdkit.numeric import (as_fraction, nearest_int, permutation_from_matrix,
-                           rationalize_matrix, rref)
+from mdkit.numeric import (nearest_int, permutation_from_matrix, rationalize,
+                           rref)
 
 
 def test_unit_root_quarter_turns_exact():
@@ -54,10 +54,11 @@ def test_nearest_int():
         nearest_int(2.5)
 
 
-def test_as_fraction():
-    assert as_fraction(0.5, 100, 1e-9) == Fraction(1, 2)
-    assert as_fraction(1 / 3, 100, 1e-9) == Fraction(1, 3)
-    assert as_fraction(math.pi, 10, 1e-9) is None
+def test_rationalize_common_denominator():
+    nums, den = rationalize(np.array([[1 / 2, 1 / 3]]), 100, 1e-9)
+    assert nums.dtype == np.int64
+    assert nums.tolist() == [[3, 2]] and den == 6
+    assert rationalize(np.array([[math.pi]]), 10, 1e-9) is None
 
 
 def test_permutation_from_matrix():
@@ -82,7 +83,17 @@ def test_rref_drops_dependent_rows():
     assert np.allclose(R, np.eye(2))
 
 
-def test_rationalize_matrix():
-    got = rationalize_matrix(np.array([[0.25, 1.5]]), 100, 1e-9)
-    assert got == [[Fraction(1, 4), Fraction(3, 2)]]
-    assert rationalize_matrix(np.array([[math.sqrt(2)]]), 100, 1e-9) is None
+def test_rationalize():
+    nums, den = rationalize(np.array([[0.25, 1.5]]), 100, 1e-9)
+    assert nums.tolist() == [[1, 6]] and den == 4
+    assert rationalize(np.array([[math.sqrt(2)]]), 100, 1e-9) is None
+
+
+def test_rationalize_near_values_share_one_fraction():
+    x = 1 / 3
+    nums, den = rationalize(np.array([[x, x + 1e-12, -x]]), 10 ** 6, 1e-9)
+    assert nums.tolist() == [[1, 1, -1]] and den == 3
+
+
+def test_rationalize_rejects_numerators_past_int64():
+    assert rationalize(np.array([[1e19]]), 100, 1e-9) is None
