@@ -58,13 +58,13 @@ class AlgebraCandidate:
         raise KeyError(check)
 
 
-def _dimension_slack(md: ModularData, eps: float) -> float:
+def _dimension_slack(md: ModularData) -> float:
     # float error in d(Gamma)^2 - dim scales with rank and dim
     u = float(np.finfo(float).eps)
-    return eps + 16.0 * u * md.rank * max(1.0, md.global_dim)
+    return md.eps + 16.0 * u * md.rank * max(1.0, md.global_dim)
 
 
-def _screen_verdicts(host: ModularData, mult: np.ndarray, eps: float,
+def _screen_verdicts(host: ModularData, mult: np.ndarray,
                      lenient: bool) -> tuple[float, list[Check]]:
     d = host.dims
     dim = host.global_dim
@@ -72,12 +72,12 @@ def _screen_verdicts(host: ModularData, mult: np.ndarray, eps: float,
     verdicts = [Check("unit_multiplicity", True, 0.0)]
 
     over = dgamma * dgamma - dim
-    verdicts.append(Check("dimension_bound", over <= _dimension_slack(host, eps),
+    verdicts.append(Check("dimension_bound", over <= _dimension_slack(host),
                           max(0.0, over)))
 
     support = np.flatnonzero(mult)
     twist_res = float(np.abs(host.T[support] - 1.0).max()) if support.size else 0.0
-    verdicts.append(Check("trivial_twist_support", twist_res <= eps,
+    verdicts.append(Check("trivial_twist_support", twist_res <= host.eps,
                           twist_res, required=not lenient))
 
     mult_res = float(np.max(mult - d)) if host.rank else 0.0
@@ -106,14 +106,14 @@ def _as_mult(host: ModularData, mult) -> np.ndarray:
     return rounded
 
 
-def screen_algebra(host: ModularData, mult, eps: float | None = None,
+def screen_algebra(host: ModularData, mult, *,
                    lenient: bool = False) -> AlgebraCandidate:
     """Screen a multiplicity vector as a commutative-algebra candidate.
 
     Five named verdicts: unit_multiplicity (n_0 = 1, also a hard
     precondition), dimension_bound (d(Gamma)^2 <= dim C up to float
-    slack), trivial_twist_support (theta_i = 1 wherever n_i > 0),
-    multiplicity_bound (n_i <= d_i + 1e-6), local_quotient
+    slack), trivial_twist_support (|theta_i - 1| <= host.eps wherever
+    n_i > 0), multiplicity_bound (n_i <= d_i + 1e-6), local_quotient
     (dim C / d(Gamma)^2 >= 1 - 1e-6).  With lenient=True the twist and
     multiplicity screens become advisory and do not affect `passes`.
 
@@ -121,9 +121,8 @@ def screen_algebra(host: ModularData, mult, eps: float | None = None,
     algebra exists.
     """
     host.require_valid()
-    eps = host.eps if eps is None else float(eps)
     vec = _as_mult(host, mult)
-    dgamma, verdicts = _screen_verdicts(host, vec, eps, lenient)
+    dgamma, verdicts = _screen_verdicts(host, vec, lenient)
     return AlgebraCandidate(host, tuple(int(x) for x in vec), dgamma,
                             tuple(verdicts))
 
@@ -150,7 +149,7 @@ def _invariant_host(left: ModularData, right: ModularData) -> ModularData:
 
 
 def algebra_from_invariant(left: ModularData, right: ModularData,
-                           z: ModularInvariant, eps: float | None = None,
+                           z: ModularInvariant, *,
                            lenient: bool = False) -> AlgebraCandidate:
     """The product-category algebra candidate attached to an invariant.
 
@@ -172,9 +171,8 @@ def algebra_from_invariant(left: ModularData, right: ModularData,
         raise MdkError("matrix does not intertwine the given data sets")
 
     host = _invariant_host(left, right)
-    eps = host.eps if eps is None else float(eps)
     vec = _as_mult(host, Z.T.flatten())
-    dgamma, verdicts = _screen_verdicts(host, vec, eps, lenient)
+    dgamma, verdicts = _screen_verdicts(host, vec, lenient)
     target = math.sqrt(left.global_dim * right.global_dim)
     res = abs(dgamma - target)
     verdicts.append(Check("maximal", res < 1e-6, res))
@@ -199,10 +197,9 @@ class WittInvariants:
     reasons: tuple[str, ...]
 
 
-def _candidate_vectors(md: ModularData, eps: float, lo: float, hi: float,
-                       node_cap: float):
+def _candidate_vectors(md: ModularData, lo: float, hi: float, node_cap: float):
     """Yield every integer vector n with n_0 = 1, 0 <= n_i <= floor(d_i +
-    1e-6) on the trivial-twist objects (|theta_i - 1| <= eps), zero
+    1e-6) on the trivial-twist objects (|theta_i - 1| <= md.eps), zero
     elsewhere, and lo <= sum n_i d_i <= hi.
 
     Objects are taken by decreasing d_i and each n_i from its bound down
@@ -211,7 +208,7 @@ def _candidate_vectors(md: ModularData, eps: float, lo: float, hi: float,
     IncompleteEnumerationError once more than node_cap nodes are visited.
     """
     d = md.dims
-    live = [i for i in range(1, md.rank) if abs(md.T[i] - 1.0) <= eps]
+    live = [i for i in range(1, md.rank) if abs(md.T[i] - 1.0) <= md.eps]
     live.sort(key=lambda i: -d[i])
     bounds = [int(math.floor(d[i] + 1e-6)) for i in live]
     suffix = [0.0] * (len(live) + 1)
@@ -241,11 +238,10 @@ def _candidate_vectors(md: ModularData, eps: float, lo: float, hi: float,
     return walk(0, 1.0)
 
 
-def witt_invariants(md: ModularData, eps: float | None = None) -> WittInvariants:
+def witt_invariants(md: ModularData) -> WittInvariants:
     """Global dimension, Gauss sum, rational central charge, and the
     center-candidate verdict with reasons."""
     md.require_valid()
-    eps = md.eps if eps is None else float(eps)
     reasons = []
     try:
         charge = central_charge(md)
@@ -256,7 +252,7 @@ def witt_invariants(md: ModularData, eps: float | None = None) -> WittInvariants
         reasons.append(f"central charge {charge} is nonzero mod 8")
     target = math.sqrt(md.global_dim)
     try:
-        next(_candidate_vectors(md, eps, target - 1e-4, target + 1e-4,
+        next(_candidate_vectors(md, target - 1e-4, target + 1e-4,
                                 _LAGRANGIAN_NODE_CAP))
     except IncompleteEnumerationError:
         reasons.append("no trivial-twist candidate of dimension sqrt(dim) "
@@ -326,7 +322,7 @@ class AnisotropyReport:
     anisotropic: bool
 
 
-def anisotropy_screen(md: ModularData, eps: float | None = None) -> AnisotropyReport:
+def anisotropy_screen(md: ModularData) -> AnisotropyReport:
     """Exhaustive bounded search for commutative-algebra candidates.
 
     Enumerates every vector with n_0 = 1, n_i <= floor(d_i + 1e-6) and
@@ -335,7 +331,6 @@ def anisotropy_screen(md: ModularData, eps: float | None = None) -> AnisotropyRe
     rather than truncating.
     """
     md.require_valid()
-    eps = md.eps if eps is None else float(eps)
     if md.rank > 24:
         raise MdkError(f"anisotropy screen supports rank <= 24, got {md.rank}")
     d = md.dims
@@ -349,10 +344,10 @@ def anisotropy_screen(md: ModularData, eps: float | None = None) -> AnisotropyRe
 
     # only trivial-twist support can pass the screens, so enumerate there;
     # the box check above bounds the tree, so no node cap is needed
-    hi = math.sqrt(md.global_dim + _dimension_slack(md, eps))
+    hi = math.sqrt(md.global_dim + _dimension_slack(md))
     found = [tuple(int(x) for x in vec)
-             for vec in _candidate_vectors(md, eps, 0.0, hi, math.inf)
-             if screen_algebra(md, vec, eps=eps).passes]
+             for vec in _candidate_vectors(md, 0.0, hi, math.inf)
+             if screen_algebra(md, vec).passes]
     found.sort(key=lambda t: (sum(t), t))
     nontrivial = tuple(t for t in found if sum(t[1:]) > 0)
     return AnisotropyReport(md.rank, tuple(found), nontrivial,

@@ -197,13 +197,14 @@ def render(spec: BuildSpec) -> str:
     raise TypeError(f"not a build spec: {spec!r}")
 
 
-def evaluate(spec: BuildSpec, eps: float | None = None, seed: int = 0,
+def evaluate(spec: BuildSpec, eps: float | None = None,
              force: bool = False) -> ModularData:
     """Build the modular data a spec names.
 
-    File lookups happen here, not at parse time.  `seed` feeds the
-    character-table degeneracy breaker used by double:G; `force` lets a
-    non-validating file document through.
+    File lookups happen here, not at parse time.  `eps` becomes the
+    tolerance of the result (a product takes the larger of its factors'),
+    which every analysis of it reads; `force` lets a non-validating file
+    document through.
     """
     from .serialize import (_slurp, load_modular_data, load_pointed_doc,
                             resolve_group)
@@ -212,17 +213,17 @@ def evaluate(spec: BuildSpec, eps: float | None = None, seed: int = 0,
     if isinstance(spec, Su2):
         return su2_level(spec.k, eps=eps)
     if isinstance(spec, Double):
-        return drinfeld_double(resolve_group(spec.group), seed=seed, eps=eps)
+        return drinfeld_double(resolve_group(spec.group), eps=eps)
     if isinstance(spec, TDouble):
         return twisted_double_cyclic(spec.n, spec.p, eps=eps)
     if isinstance(spec, Pointed):
         group, q, labels = load_pointed_doc(_slurp(spec.path))
         return pointed(group, q, labels=labels, eps=eps)
     if isinstance(spec, Prod):
-        return deligne_product(evaluate(spec.left, eps=eps, seed=seed, force=force),
-                               evaluate(spec.right, eps=eps, seed=seed, force=force))
+        return deligne_product(evaluate(spec.left, eps=eps, force=force),
+                               evaluate(spec.right, eps=eps, force=force))
     if isinstance(spec, Rev):
-        return reverse(evaluate(spec.inner, eps=eps, seed=seed, force=force))
+        return reverse(evaluate(spec.inner, eps=eps, force=force))
     if isinstance(spec, File):
         return load_modular_data(_slurp(spec.path), force=force, eps=eps)
     raise TypeError(f"not a build spec: {spec!r}")

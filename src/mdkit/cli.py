@@ -39,7 +39,7 @@ def _mult_arg(text: str):
 
 def _build_data(args, attr="spec"):
     return evaluate(parse_spec(getattr(args, attr)), eps=args.eps,
-                    seed=args.seed, force=args.force)
+                    force=args.force)
 
 
 def _twist_str(z: complex) -> str:
@@ -86,8 +86,7 @@ def _check_rows(checks):
 
 
 def _cmd_validate(args) -> int:
-    md = evaluate(parse_spec(args.spec), eps=args.eps, seed=args.seed,
-                  force=True)
+    md = evaluate(parse_spec(args.spec), eps=args.eps, force=True)
     report = validate(md)
     if args.format == "json":
         print(json.dumps({"ok": report.ok,
@@ -125,12 +124,11 @@ def _cmd_fusion(args) -> int:
 def _cmd_invariants(args) -> int:
     left = _build_data(args, "left")
     right = _build_data(args, "right")
-    invs = enumerate_invariants(left, right, node_cap=args.node_cap,
-                                workers=args.workers, eps=args.eps)
+    invs = enumerate_invariants(left, right, node_cap=args.node_cap)
     if args.format == "json":
         sys.stdout.write(invariants_doc(invs))
         return 0
-    cb = commutant_basis(left, right, eps=args.eps)
+    cb = commutant_basis(left, right)
     print(f"commutant dimension {cb.dimension}"
           + ("" if cb.rationalized else " (rationalization failed)"))
     print(f"count {len(invs)}")
@@ -165,7 +163,7 @@ def _print_candidate(cand, args) -> None:
 
 def _cmd_algebra_screen(args) -> int:
     md = _build_data(args)
-    cand = screen_algebra(md, args.mult, eps=args.eps, lenient=args.lenient)
+    cand = screen_algebra(md, args.mult, lenient=args.lenient)
     _print_candidate(cand, args)
     return 0
 
@@ -173,13 +171,12 @@ def _cmd_algebra_screen(args) -> int:
 def _cmd_algebra_from_invariant(args) -> int:
     left = _build_data(args, "left")
     right = _build_data(args, "right")
-    invs = enumerate_invariants(left, right, node_cap=args.node_cap,
-                                workers=args.workers, eps=args.eps)
+    invs = enumerate_invariants(left, right, node_cap=args.node_cap)
     if not 0 <= args.index < len(invs):
         raise MdkError(f"--index {args.index} out of range: "
                        f"{len(invs)} invariants found")
     cand = algebra_from_invariant(left, right, invs[args.index],
-                                  eps=args.eps, lenient=args.lenient)
+                                  lenient=args.lenient)
     _print_candidate(cand, args)
     return 0
 
@@ -187,7 +184,7 @@ def _cmd_algebra_from_invariant(args) -> int:
 def _cmd_witt(args) -> int:
     left = _build_data(args)
     if args.other is None:
-        wi = witt_invariants(left, eps=args.eps)
+        wi = witt_invariants(left)
         charge = None if wi.central_charge is None else str(wi.central_charge)
         if args.format == "json":
             print(json.dumps({
@@ -218,7 +215,7 @@ def _cmd_witt(args) -> int:
 
 def _cmd_anisotropy(args) -> int:
     md = _build_data(args)
-    report = anisotropy_screen(md, eps=args.eps)
+    report = anisotropy_screen(md)
     if args.format == "json":
         print(json.dumps({"rank": report.rank,
                           "candidates": [list(c) for c in report.candidates],
@@ -240,8 +237,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="tolerance override (beats MDK_EPS)")
     common.add_argument("--format", choices=["table", "json"],
                         default="table")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the character-table degeneracy breaker")
     common.add_argument("--force", action="store_true",
                         help="load data files even if they fail validation")
 
@@ -270,8 +265,6 @@ def _parser() -> argparse.ArgumentParser:
     i.add_argument("left")
     i.add_argument("right")
     i.add_argument("--node-cap", type=int, default=10 ** 8)
-    i.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored; the search is single-threaded")
     i.set_defaults(func=_cmd_invariants)
 
     a = sub.add_parser("algebra", help="commutative-algebra screening")
@@ -289,8 +282,6 @@ def _parser() -> argparse.ArgumentParser:
     afi.add_argument("--index", type=int, required=True,
                      help="invariant index in canonical order")
     afi.add_argument("--node-cap", type=int, default=10 ** 8)
-    afi.add_argument("--workers", type=int, default=1,
-                     help="accepted and ignored; the search is single-threaded")
     afi.add_argument("--lenient", action="store_true")
     afi.set_defaults(func=_cmd_algebra_from_invariant)
 

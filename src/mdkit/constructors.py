@@ -129,8 +129,7 @@ def _subgroup_class_of(sub: Subgroup) -> dict[int, int]:
     return {parent: sub.group.class_of[back[parent]] for parent in sub.embed}
 
 
-def drinfeld_double(G: FiniteGroup, seed: int = 0,
-                    eps: float | None = None) -> ModularData:
+def drinfeld_double(G: FiniteGroup, *, eps: float | None = None) -> ModularData:
     """Untwisted double of a finite group.
 
     Simple objects are pairs (conjugacy class [a], irreducible character
@@ -148,7 +147,7 @@ def drinfeld_double(G: FiniteGroup, seed: int = 0,
     eps = default_eps() if eps is None else float(eps)
     reps = [c[0] for c in G.classes]
     cents = [centralizer(G, a) for a in reps]
-    charts = [character_table(c.group, seed=seed) for c in cents]
+    charts = [character_table(c.group) for c in cents]
     cls_of_sub = [_subgroup_class_of(c) for c in cents]
 
     labels: list[str] = []

@@ -268,10 +268,10 @@ def _class_matrices(g: FiniteGroup) -> np.ndarray:
     return a
 
 
-def character_table(g: FiniteGroup, seed: int = 0) -> CharacterTable:
+def character_table(g: FiniteGroup) -> CharacterTable:
     """Character table via simultaneous class-matrix eigenvectors.
 
-    A random (seeded) linear combination of the class-multiplication
+    A random (fixed-seed) linear combination of the class-multiplication
     matrices is diagonalized; its eigenbasis simultaneously diagonalizes
     every class matrix when the combination separates the characters.
     Degenerate combinations are retried with fresh coefficients, up to 20
@@ -290,7 +290,7 @@ def character_table(g: FiniteGroup, seed: int = 0) -> CharacterTable:
     sizes = np.array([len(c) for c in g.classes], dtype=float)
     mats = _class_matrices(g).astype(float)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     last_error = "no attempt made"
     for _ in range(20):
         combo = np.tensordot(rng.normal(size=k), mats, axes=1)

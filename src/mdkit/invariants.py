@@ -107,8 +107,8 @@ class ModularInvariant:
         self.Z.setflags(write=False)
 
 
-def commutant_basis(left: ModularData, right: ModularData | None = None,
-                    eps: float | None = None) -> CommutantBasis:
+def commutant_basis(left: ModularData,
+                    right: ModularData | None = None) -> CommutantBasis:
     """Solve the linear intertwiner equations.
 
     The T-relation zeroes every entry (j, i) with theta^L_i != theta^R_j,
@@ -126,7 +126,7 @@ def commutant_basis(left: ModularData, right: ModularData | None = None,
         right = left
     left.require_valid()
     right.require_valid()
-    tol = max(left.eps, right.eps) if eps is None else float(eps)
+    tol = max(left.eps, right.eps)
     rL, rR = left.rank, right.rank
 
     positions = tuple((j, i) for j in range(rR) for i in range(rL)
@@ -332,8 +332,7 @@ def _coordinate_search(DB, scale, slack, boxes, caps, node_cap):
 
 
 def enumerate_invariants(left: ModularData, right: ModularData | None = None,
-                         node_cap: int = 10 ** 8, workers: int = 1,
-                         eps: float | None = None) -> list[ModularInvariant]:
+                         node_cap: int = 10 ** 8) -> list[ModularInvariant]:
     """All modular invariants between two data sets, canonically sorted.
 
     Depth-first search over the m pivot coordinates of the reduced-echelon
@@ -355,9 +354,6 @@ def enumerate_invariants(left: ModularData, right: ModularData | None = None,
     node_cap : int
         Budget on coordinate assignments tried; exceeding it raises
         IncompleteEnumerationError rather than returning a partial list.
-    workers : int
-        Accepted for compatibility and ignored: the search is
-        single-threaded.
 
     Returns
     -------
@@ -366,8 +362,8 @@ def enumerate_invariants(left: ModularData, right: ModularData | None = None,
     """
     if right is None:
         right = left
-    tol = max(left.eps, right.eps) if eps is None else float(eps)
-    cb = commutant_basis(left, right, eps=eps)
+    tol = max(left.eps, right.eps)
+    cb = commutant_basis(left, right)
     if cb.dimension == 0 or cb.positions[cb.pivots[0]] != (0, 0):
         return []  # every element of the commutant has Z_00 = 0
     js, is_ = np.array(cb.positions).T

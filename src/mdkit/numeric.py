@@ -113,9 +113,9 @@ def rref(mat: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, list[int]]:
             continue
         a[[row, pivot]] = a[[pivot, row]]
         a[row] = a[row] / a[row, col]
-        for r in range(nrows):
-            if r != row and abs(a[r, col]) > 0:
-                a[r] = a[r] - a[r, col] * a[row]
+        hit = np.abs(a[:, col]) > 0
+        hit[row] = False
+        a[hit] -= a[hit, col][:, None] * a[row]
         pivots.append(col)
         row += 1
     return a[:row], pivots

@@ -54,6 +54,15 @@ def test_screen_rejects_bad_multiplicities():
         screen_algebra(tc, [1, 0, 0])
 
 
+def test_tolerance_is_not_a_positional_argument():
+    # the tolerance lives on the data; a third positional argument must
+    # not silently become lenient=True, nor a second one eps = 0
+    with pytest.raises(TypeError):
+        screen_algebra(preset("toric_code"), [1, 1, 0, 0], 1e-9)
+    with pytest.raises(TypeError):
+        drinfeld_double(cyclic(2), 0)
+
+
 def test_screen_lenient_demotes_advisory_checks():
     tc = preset("toric_code")
     c = screen_algebra(tc, [1, 0, 0, 1], lenient=True)

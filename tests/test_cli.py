@@ -2,11 +2,16 @@
 
 import io
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mdkit.cli import run
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "perfbench" / "golden" / "cli"
 
 
 def mdk(*argv):
@@ -66,7 +71,6 @@ def test_invariants_json_counts():
 
 def test_invariants_table_deterministic():
     runs = [mdk("invariants", "su2:10", "su2:10") for _ in range(2)]
-    runs.append(mdk("invariants", "su2:10", "su2:10", "--workers", "3"))
     assert all(code == 0 for code, _, _ in runs)
     assert len({out for _, out, _ in runs}) == 1
 
@@ -79,6 +83,8 @@ def test_invariants_table_deterministic():
     ("build", "su2:4", "--format", "yaml"),
     ("algebra", "screen", "preset:toric_code", "--mult", "1,x,0,0"),
     ("algebra", "from-invariant", "su2:4", "su2:4"),
+    ("invariants", "su2:4", "su2:4", "--workers", "2"),
+    ("build", "double:S3", "--seed", "7"),
 ])
 def test_usage_errors_exit_2(argv):
     code, out, err = mdk(*argv)
@@ -157,19 +163,49 @@ def test_json_mode_emits_json(argv):
     json.loads(out)
 
 
-def test_seed_does_not_change_output():
-    # the degeneracy breaker only perturbs the eigenvector numerics, so
-    # labels, ordering and twists agree exactly and S to full precision
-    a = mdk("build", "double:S3", "--format", "json")
-    b = mdk("build", "double:S3", "--format", "json", "--seed", "7")
-    assert a[0] == b[0] == 0
-    da, db = json.loads(a[1]), json.loads(b[1])
-    assert da["labels"] == db["labels"]
-    assert da["T"] == db["T"]
-    for ra, rb in zip(da["S"], db["S"]):
-        for za, zb in zip(ra, rb):
-            assert abs(complex(za["re"], za["im"])
-                       - complex(zb["re"], zb["im"])) < 1e-12
+def test_eps_flag_reaches_every_analysis(tmp_path, monkeypatch):
+    # a toric code whose e twist is off by 1.88e-7: every analysis must
+    # read the tolerance that --eps gives the data
+    monkeypatch.delenv("MDK_EPS", raising=False)
+    code, out, _ = mdk("build", "preset:toric_code", "--format", "json")
+    doc = json.loads(out)
+    phase = 2 * math.pi * 3e-8
+    doc["T"][1] = {"re": math.cos(phase), "im": math.sin(phase)}
+    path = str(tmp_path / "noisy.json")
+    Path(path).write_text(json.dumps(doc))
+    loose = ("--eps", "1e-6", "--format", "json")
+
+    assert mdk("validate", path)[0] == 1
+    code, out, _ = mdk("validate", path, *loose)
+    assert code == 0 and json.loads(out)["ok"] is True
+    code, out, _ = mdk("algebra", "screen", path, "--mult", "1,1,0,0", *loose)
+    assert code == 0
+    screen = json.loads(out)
+    assert screen["passes"] is True
+    twist = next(v for v in screen["verdicts"]
+                 if v["check"] == "trivial_twist_support")
+    assert twist["pass"] and twist["residual"] == pytest.approx(1.885e-7, rel=1e-3)
+    code, out, _ = mdk("anisotropy", path, *loose)
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["candidates"]) == 3 and len(report["nontrivial"]) == 2
+    code, out, _ = mdk("witt", path, "--eps", "1e-6")
+    assert code == 0 and "center candidate: yes" in out
+    code, out, _ = mdk("invariants", path, "preset:toric_code", *loose)
+    assert code == 0 and json.loads(out)["count"] == 6
+
+
+def test_cli_stdout_matches_golden(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("MDK_EPS", raising=False)
+    commands = json.loads((GOLDEN / "commands.json").read_text())
+    assert commands
+    for cmd in commands:
+        out, err = io.StringIO(), io.StringIO()
+        code = run(list(cmd["argv"]), out, err)
+        assert code == cmd["exit"], (cmd["argv"], err.getvalue())
+        want = (GOLDEN / cmd["stdout"]).read_bytes()
+        assert out.getvalue().encode() == want, cmd["argv"]
 
 
 def test_eps_flag_beats_env(monkeypatch):

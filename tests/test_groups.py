@@ -126,13 +126,6 @@ def test_character_trivial_row_first_and_exact():
         assert (table.values[0] == 1).all()
 
 
-def test_character_table_seed_independent():
-    g = group_preset("D4")
-    a = character_table(g, seed=0)
-    b = character_table(g, seed=7)
-    assert np.array_equal(a.values, b.values)
-
-
 def test_character_table_nonabelian_s3_values():
     # degree-2 character: 2 on e, -1 on 3-cycles, 0 on transpositions
     g = group_preset("S3")

@@ -147,14 +147,6 @@ def test_solver_matches_lattice_oracle(left, right, lattice_oracle):
         assert (g == w).all()
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_result_independent_of_worker_count(workers):
-    md = su2_level(10)
-    base = [z.Z.tobytes() for z in enumerate_invariants(md)]
-    again = [z.Z.tobytes() for z in enumerate_invariants(md, workers=workers)]
-    assert base == again
-
-
 def test_node_cap_aborts():
     with pytest.raises(IncompleteEnumerationError) as exc:
         enumerate_invariants(preset("toric_code"), node_cap=10)
@@ -266,6 +258,19 @@ def test_float_basis_matches_exact(left, right, monkeypatch):
     assert commutant_basis(a, b).rationalized is False
     floating = [z.Z.tobytes() for z in enumerate_invariants(a, b)]
     assert floating == exact
+
+
+def test_float_basis_view(monkeypatch):
+    monkeypatch.setattr("mdkit.invariants.rationalize",
+                        lambda *args, **kwargs: None)
+    cb = commutant_basis(su2_level(10))
+    assert cb.rationalized is False and cb.denominator == 1
+    stacked = cb.as_float()
+    assert isinstance(cb.basis, tuple) and len(cb.basis) == cb.dimension == 3
+    for mat, want in zip(cb.basis, stacked):
+        assert isinstance(mat, np.ndarray) and mat.dtype == float
+        assert not mat.flags.writeable
+        assert mat.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("DB, scale, slack", [
