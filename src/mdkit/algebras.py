@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, IncompleteEnumerationError,
-                     MdkError, NonRationalChargeError, SearchBudgetError)
-from .invariants import ModularInvariant
+from .errors import (DimensionMismatchError, MdkError, NonRationalChargeError,
+                     SearchBudgetError, _Budget)
+from .invariants import ModularInvariant, _intertwines
 from .modular_data import (Check, ModularData, central_charge,
                            deligne_product, gauss_sum, reverse)
 
@@ -30,8 +30,10 @@ __all__ = [
 
 
 # Nodes the Witt search for a Lagrangian candidate visits before it
-# gives up and reports the verdict as inconclusive.
+# gives up and reports the verdict as inconclusive, and the box (product
+# of the entry bounds) past which the anisotropy screen refuses its input.
 _LAGRANGIAN_NODE_CAP = 10 ** 6
+_ANISOTROPY_BOX_CAP = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -163,11 +165,9 @@ def algebra_from_invariant(left: ModularData, right: ModularData,
         raise DimensionMismatchError(
             f"invariant has shape {Z.shape}, expected "
             f"({right.rank}, {left.rank})")
-    tol = max(left.eps, right.eps)
     if Z[0, 0] != 1 or Z.min() < 0:
         raise MdkError("invariant must be nonnegative with Z_00 = 1")
-    if (np.abs(Z @ left.S - right.S @ Z).max() > max(tol, 1e-9)
-            or np.abs(Z * left.T[None, :] - right.T[:, None] * Z).max() > max(tol, 1e-9)):
+    if not _intertwines(Z, left, right)[0]:
         raise MdkError("matrix does not intertwine the given data sets")
 
     host = _invariant_host(left, right)
@@ -216,15 +216,10 @@ def _candidate_vectors(md: ModularData, lo: float, hi: float, node_cap: float):
         suffix[k] = suffix[k + 1] + bounds[k] * d[live[k]]
     vec = np.zeros(md.rank, dtype=np.int64)
     vec[0] = 1
-    nodes = 0
+    budget = _Budget("candidate search", node_cap)
 
     def walk(k: int, acc: float):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise IncompleteEnumerationError(
-                f"candidate search exceeded {node_cap} nodes",
-                nodes=nodes, cap=node_cap)
+        budget.spend()
         if acc > hi or acc + suffix[k] < lo:
             return
         if k == len(live):
@@ -254,7 +249,7 @@ def witt_invariants(md: ModularData) -> WittInvariants:
     try:
         next(_candidate_vectors(md, target - 1e-4, target + 1e-4,
                                 _LAGRANGIAN_NODE_CAP))
-    except IncompleteEnumerationError:
+    except SearchBudgetError:
         reasons.append("no trivial-twist candidate of dimension sqrt(dim) "
                        "found within the search budget (inconclusive)")
     except StopIteration:
@@ -326,21 +321,16 @@ def anisotropy_screen(md: ModularData) -> AnisotropyReport:
     """Exhaustive bounded search for commutative-algebra candidates.
 
     Enumerates every vector with n_0 = 1, n_i <= floor(d_i + 1e-6) and
-    d(Gamma)^2 <= dim C, screening each.  Supports rank <= 24; raises
-    SearchBudgetError when the product of the entry bounds exceeds 10^7
-    rather than truncating.
+    d(Gamma)^2 <= dim C, screening each.  The box sets the limit: a
+    product of the entry bounds over 10^7, as at every rank >= 25 (each
+    d_i >= 1), raises SearchBudgetError rather than truncating.
     """
     md.require_valid()
-    if md.rank > 24:
-        raise MdkError(f"anisotropy screen supports rank <= 24, got {md.rank}")
-    d = md.dims
-    bounds = [int(math.floor(d[i] + 1e-6)) for i in range(1, md.rank)]
-    budget = 1.0
-    for b in bounds:
-        budget *= b + 1
-    if budget > 1e7:
+    box = math.prod(math.floor(d + 1e-6) + 1.0 for d in md.dims[1:])
+    if box > _ANISOTROPY_BOX_CAP:
         raise SearchBudgetError(
-            f"{budget:.3g} candidate vectors exceed the 1e7 search budget")
+            f"rank {md.rank}: {box:.3g} candidate vectors exceed the "
+            f"{_ANISOTROPY_BOX_CAP:.0e} budget", cap=_ANISOTROPY_BOX_CAP)
 
     # only trivial-twist support can pass the screens, so enumerate there;
     # the box check above bounds the tree, so no node cap is needed

@@ -21,7 +21,8 @@ from .algebras import (algebra_from_invariant, anisotropy_screen,
                        witt_obstruction)
 from .buildspec import evaluate, parse_spec
 from .errors import MdkError
-from .invariants import commutant_basis, enumerate_invariants
+from .invariants import (_NODE_CAP, _invariants_in, commutant_basis,
+                         enumerate_invariants)
 from .modular_data import central_charge, validate, verlinde_fusion
 from .numeric import TWIST_ORDER_CAP, phase_fraction
 from .serialize import dump_modular_data, invariants_doc
@@ -124,11 +125,11 @@ def _cmd_fusion(args) -> int:
 def _cmd_invariants(args) -> int:
     left = _build_data(args, "left")
     right = _build_data(args, "right")
-    invs = enumerate_invariants(left, right, node_cap=args.node_cap)
+    cb = commutant_basis(left, right)
+    invs = _invariants_in(cb, left, right, args.node_cap)
     if args.format == "json":
         sys.stdout.write(invariants_doc(invs))
         return 0
-    cb = commutant_basis(left, right)
     print(f"commutant dimension {cb.dimension}"
           + ("" if cb.rationalized else " (rationalization failed)"))
     print(f"count {len(invs)}")
@@ -264,7 +265,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="enumerate modular invariants")
     i.add_argument("left")
     i.add_argument("right")
-    i.add_argument("--node-cap", type=int, default=10 ** 8)
+    i.add_argument("--node-cap", type=int, default=_NODE_CAP)
     i.set_defaults(func=_cmd_invariants)
 
     a = sub.add_parser("algebra", help="commutative-algebra screening")
@@ -281,7 +282,7 @@ def _parser() -> argparse.ArgumentParser:
     afi.add_argument("right")
     afi.add_argument("--index", type=int, required=True,
                      help="invariant index in canonical order")
-    afi.add_argument("--node-cap", type=int, default=10 ** 8)
+    afi.add_argument("--node-cap", type=int, default=_NODE_CAP)
     afi.add_argument("--lenient", action="store_true")
     afi.set_defaults(func=_cmd_algebra_from_invariant)
 

@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 
-from .errors import (DegenerateFormError, DimensionMismatchError,
-                     IncompleteEnumerationError, MdkError,
-                     UnknownPresetError)
+from .errors import (DegenerateFormError, DimensionMismatchError, MdkError,
+                     UnknownPresetError, _Budget)
 from .groups import (FiniteGroup, Subgroup, centralizer, character_table,
                      cyclic, group_from_table)
 from .modular_data import ModularData
@@ -321,19 +320,19 @@ def _value_classes(x: np.ndarray, tol: float) -> np.ndarray:
     return np.searchsorted((v[:-1][wide] + v[1:][wide]) / 2, x)
 
 
-def equivalent_up_to_relabeling(a: ModularData, b: ModularData,
-                                eps: float | None = None) -> list[int] | None:
+def equivalent_up_to_relabeling(a: ModularData,
+                                b: ModularData) -> list[int] | None:
     """Search for a relabeling identifying two modular data sets.
 
     Returns a permutation pi with pi(0) = 0, S_b[pi(i), pi(j)] = S_a[i, j]
-    and T_b[pi(i)] = T_a[i] within eps, or None if there is none.  When
+    and T_b[pi(i)] = T_a[i] within max(a.eps, b.eps), or else None.  When
     several exist, any one of them is returned; every one returned passes
     that check, and a set compared with itself gives the identity.
 
     Objects of both sets are coloured jointly by (d, theta), the unit apart,
     and colours are refined by the multiset of (S-value class, colour) over
     each S row until they are stable (1-WL colour refinement).  S entries
-    within eps of each other share a value class.  Unequal colour-class
+    within that tolerance share a value class.  Unequal colour-class
     sizes prove that no relabeling exists.  Otherwise the search
     individualises the first object of a's smallest non-trivial class
     against each object of that class in b, refines again and goes on
@@ -348,7 +347,7 @@ def equivalent_up_to_relabeling(a: ModularData, b: ModularData,
     b.require_valid()
     if a.rank != b.rank:
         return None
-    tol = max(a.eps, b.eps) if eps is None else float(eps)
+    tol = max(a.eps, b.eps)
     n = a.rank
     S, T = np.stack([a.S, b.S]), np.stack([a.T, b.T])
 
@@ -385,13 +384,10 @@ def equivalent_up_to_relabeling(a: ModularData, b: ModularData,
 
     distinct, colours = np.unique(start, return_inverse=True)
     pending = [(colours.reshape(2, n), distinct.size)]
-    nodes = -1  # the root is no individualisation
+    # the root is no individualisation
+    budget = _Budget("relabeling search", _RELABEL_NODE_CAP, nodes=-1)
     while pending:
-        nodes += 1
-        if nodes > _RELABEL_NODE_CAP:
-            raise IncompleteEnumerationError(
-                f"relabeling search exceeded {_RELABEL_NODE_CAP} nodes",
-                nodes=nodes, cap=_RELABEL_NODE_CAP)
+        budget.spend()
         colours, count = refine(*pending.pop())
         if colours is None:
             continue

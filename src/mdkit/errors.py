@@ -65,16 +65,33 @@ class ValidationFailedError(MdkError):
 
 
 class SearchBudgetError(MdkError):
-    """A bounded enumeration would exceed its configured budget."""
-
-
-class IncompleteEnumerationError(MdkError):
-    """The solver hit its node cap before exhausting the search tree."""
+    """A bounded search would exceed, or ran past, its budget ``cap``;
+    ``nodes`` is the count reached, None if refused before it started."""
 
     def __init__(self, message, nodes=None, cap=None):
         super().__init__(message)
         self.nodes = nodes
         self.cap = cap
+
+
+class IncompleteEnumerationError(SearchBudgetError):
+    """A search ran past its node cap; no partial answer is returned."""
+
+
+class _Budget:
+    """Node counter of one search call: ``spend`` raises past ``cap``."""
+
+    def __init__(self, what: str, cap, nodes: int = 0):
+        self.what = what
+        self.cap = cap
+        self.nodes = nodes
+
+    def spend(self, k: int = 1) -> None:
+        self.nodes += k
+        if self.nodes > self.cap:
+            raise IncompleteEnumerationError(
+                f"{self.what} ran past its {self.cap}-node cap",
+                nodes=self.nodes, cap=self.cap)
 
 
 class SpecParseError(MdkError):

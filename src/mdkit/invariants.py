@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import IncompleteEnumerationError, MdkError
+from .errors import MdkError, SearchBudgetError, _Budget
 from .modular_data import ModularData
 from .numeric import rationalize, rref
 
@@ -161,8 +161,10 @@ def commutant_basis(left: ModularData,
     return CommutantBasis(rL, rR, positions, *exact, tuple(pivots), True)
 
 
-# Nodes the block-decomposition (Gram) search of classify_invariant
+# Coordinate values enumerate_invariants tries before it raises, and
+# nodes the block-decomposition (Gram) search of classify_invariant
 # visits before the invariant falls through to "other".
+_NODE_CAP = 10 ** 8
 _GRAM_NODE_CAP = 100_000
 
 
@@ -177,20 +179,18 @@ def _partitions_into_squares(r: int, mx: int):
             yield (y,) + rest
 
 
-def _gram_rows(Z: np.ndarray):
-    """Find nonnegative-integer C with C^T C = Z, or None.
+def _is_gram(Z: np.ndarray) -> bool:
+    """Whether Z = C^T C for a nonnegative-integer C found within budget.
 
     Builds Gram vectors column by column; coordinates introduced by each
     new vector are kept nonincreasing so each Gram matrix is produced in
-    one canonical coordinate order only.  Returns the columns (one per
-    object) or None when no decomposition exists within the node budget.
+    one canonical coordinate order only.
     """
     n = Z.shape[0]
     vecs: list[tuple[int, ...]] = []
-    nodes = 0
+    budget = _Budget("Gram search", _GRAM_NODE_CAP)
 
     def place(i: int) -> bool:
-        nonlocal nodes
         if i == n:
             return True
         used = len(vecs[-1]) if vecs else 0
@@ -198,12 +198,7 @@ def _gram_rows(Z: np.ndarray):
         x = [0] * used
 
         def choose(t: int, norm_left: int, partial: list[int]) -> bool:
-            nonlocal nodes
-            nodes += 1
-            if nodes > _GRAM_NODE_CAP:
-                raise IncompleteEnumerationError(
-                    f"Gram search exceeded {_GRAM_NODE_CAP} nodes",
-                    nodes=nodes, cap=_GRAM_NODE_CAP)
+            budget.spend()
             if t == used:
                 if any(partial[j] != targets[j] for j in range(i)):
                     return False
@@ -237,13 +232,9 @@ def _gram_rows(Z: np.ndarray):
         return choose(0, int(Z[i, i]), [0] * i)
 
     try:
-        found = place(0)
-    except IncompleteEnumerationError:
-        return None
-    if not found:
-        return None
-    h = max(len(v) for v in vecs)
-    return [[(v[t] if t < len(v) else 0) for v in vecs] for t in range(h)]
+        return place(0)
+    except SearchBudgetError:
+        return False
 
 
 def _classify(Z: np.ndarray) -> str:
@@ -254,9 +245,8 @@ def _classify(Z: np.ndarray) -> str:
         if ((Z >= 0).all() and (Z <= 1).all()
                 and (Z.sum(axis=0) == 1).all() and (Z.sum(axis=1) == 1).all()):
             return "permutation"
-        if rL <= 12 and (Z == Z.T).all() and Z[0, 0] == 1:
-            if _gram_rows(Z) is not None:
-                return "block"
+        if rL <= 12 and (Z == Z.T).all() and Z[0, 0] == 1 and _is_gram(Z):
+            return "block"
     return "other"
 
 
@@ -305,16 +295,11 @@ def _coordinate_search(DB, scale, slack, boxes, caps, node_cap):
     hi[:m] = np.cumsum((np.maximum(DB, 0) * boxes)[::-1], axis=0)[::-1]
     lo[:m] = np.cumsum((np.minimum(DB, 0) * boxes)[::-1], axis=0)[::-1]
     found = []
-    nodes = 0
+    budget = _Budget("invariant search", node_cap)
 
     def expand(t, acc):
-        nonlocal nodes
         vals = np.arange(1, 2) if t == 0 else np.arange(boxes[t, 0] + 1)
-        nodes += vals.size
-        if nodes > node_cap:
-            raise IncompleteEnumerationError(
-                f"search visited {nodes} nodes, over the {node_cap} cap; "
-                f"no partial answer is returned", nodes=nodes, cap=node_cap)
+        budget.spend(vals.size)
         trial = acc + vals[:, None] * DB[t]
         ok = ((trial + hi[t + 1] >= -slack)
               & (trial + lo[t + 1] <= caps + slack)).all(axis=1)
@@ -331,8 +316,15 @@ def _coordinate_search(DB, scale, slack, boxes, caps, node_cap):
     return found
 
 
+def _intertwines(Z: np.ndarray, left: ModularData, right: ModularData):
+    """(ok, S residual, T residual) of Z as an intertwiner of the pair."""
+    s_res = np.abs(Z @ left.S - right.S @ Z).max()
+    t_res = np.abs(Z * left.T[None, :] - right.T[:, None] * Z).max()
+    return max(s_res, t_res) <= max(left.eps, right.eps, 1e-9), s_res, t_res
+
+
 def enumerate_invariants(left: ModularData, right: ModularData | None = None,
-                         node_cap: int = 10 ** 8) -> list[ModularInvariant]:
+                         node_cap: int = _NODE_CAP) -> list[ModularInvariant]:
     """All modular invariants between two data sets, canonically sorted.
 
     Depth-first search over the m pivot coordinates of the reduced-echelon
@@ -362,8 +354,11 @@ def enumerate_invariants(left: ModularData, right: ModularData | None = None,
     """
     if right is None:
         right = left
-    tol = max(left.eps, right.eps)
-    cb = commutant_basis(left, right)
+    return _invariants_in(commutant_basis(left, right), left, right, node_cap)
+
+
+def _invariants_in(cb: CommutantBasis, left: ModularData, right: ModularData,
+                   node_cap: int) -> list[ModularInvariant]:
     if cb.dimension == 0 or cb.positions[cb.pivots[0]] != (0, 0):
         return []  # every element of the commutant has Z_00 = 0
     js, is_ = np.array(cb.positions).T
@@ -382,9 +377,8 @@ def enumerate_invariants(left: ModularData, right: ModularData | None = None,
     for vec in found:
         Z = np.zeros((right.rank, left.rank), dtype=np.int64)
         Z[js, is_] = vec
-        s_res = np.abs(Z @ left.S - right.S @ Z).max()
-        t_res = np.abs(Z * left.T[None, :] - right.T[:, None] * Z).max()
-        if s_res > max(tol, 1e-9) or t_res > max(tol, 1e-9):
+        ok, s_res, t_res = _intertwines(Z, left, right)
+        if not ok:
             raise MdkError(
                 f"enumeration produced a non-verifying candidate "
                 f"(S residual {s_res:.3g}, T residual {t_res:.3g})")

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import CORPUS_SPECS
-from mdkit import (MdkError, SearchBudgetError, algebra_from_invariant,
-                   anisotropy_screen, cyclic, deligne_product,
-                   drinfeld_double, enumerate_invariants, evaluate,
-                   local_modules_dim, parse_spec, preset, reverse,
+from mdkit import (MdkError, ModularData, SearchBudgetError,
+                   algebra_from_invariant, anisotropy_screen, cyclic,
+                   deligne_product, drinfeld_double, enumerate_invariants,
+                   evaluate, local_modules_dim, parse_spec, preset, reverse,
                    screen_algebra, su2_level, witt_inverse, witt_invariants,
                    witt_obstruction, witt_product)
 
@@ -21,6 +21,18 @@ def test_screen_toric_lagrangians():
         assert c.passes
         assert c.dim_gamma == 2.0
         assert abs(local_modules_dim(c) - 1.0) < 1e-9
+
+
+def test_dimension_bound_slack_follows_the_data_eps():
+    # d_e = 1 + 5e-8 puts d(Gamma)^2 of Gamma = 1 + e 1e-7 above dim C:
+    # within eps = 1e-6, far beyond the float slack alone
+    tc = preset("toric_code")
+    S = tc.S.copy()
+    S[0, 1] = S[1, 0] = 0.5 * (1 + 5e-8)
+    md = ModularData(S, tc.T, labels=tc.labels, eps=1e-6)
+    v = screen_algebra(md, [1, 1, 0, 0]).verdict("dimension_bound")
+    assert v.passed and 0.9e-7 < v.residual < 1.1e-7
+    assert (1, 1, 0, 0) in anisotropy_screen(md).nontrivial
 
 
 def test_screen_toric_fermion_fails_twist():

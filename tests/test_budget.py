@@ -1,0 +1,53 @@
+"""Every bounded search stops through one budget: with its cap set to 1,
+each gives its documented caller-visible outcome."""
+
+import numpy as np
+import pytest
+
+from mdkit import (IncompleteEnumerationError, SearchBudgetError,
+                   anisotropy_screen, enumerate_invariants,
+                   equivalent_up_to_relabeling, evaluate, parse_spec, preset,
+                   witt_invariants)
+from mdkit.invariants import _classify
+
+
+def build(spec):
+    return evaluate(parse_spec(spec))
+
+
+# (module constant holding the cap, or None when the cap is an argument;
+#  the search; its outcome with the cap at 1)
+CAPPED = {
+    "invariants": (None, lambda: enumerate_invariants(
+        preset("toric_code"), node_cap=1), IncompleteEnumerationError),
+    "matcher": ("mdkit.constructors._RELABEL_NODE_CAP",
+                lambda: equivalent_up_to_relabeling(
+                    build("prod(double:Z_3,double:Z_4)"),
+                    build("tdouble:12:0")), IncompleteEnumerationError),
+    "gram": ("mdkit.invariants._GRAM_NODE_CAP",
+             lambda: _classify(np.array([[1, 0], [0, 2]])), "other"),
+    "witt": ("mdkit.algebras._LAGRANGIAN_NODE_CAP",
+             lambda: witt_invariants(build("double:Z_3")).reasons,
+             ("no trivial-twist candidate of dimension sqrt(dim) found "
+              "within the search budget (inconclusive)",)),
+    "anisotropy": ("mdkit.algebras._ANISOTROPY_BOX_CAP",
+                   lambda: anisotropy_screen(preset("toric_code")),
+                   SearchBudgetError),
+}
+
+
+@pytest.mark.parametrize("name", CAPPED)
+def test_a_cap_of_one_stops_every_search(monkeypatch, name):
+    cap, search, outcome = CAPPED[name]
+    if cap is not None:
+        monkeypatch.setattr(cap, 1)
+    if outcome not in (IncompleteEnumerationError, SearchBudgetError):
+        assert search() == outcome
+        return
+    with pytest.raises(SearchBudgetError) as exc:
+        search()
+    assert type(exc.value) is outcome and exc.value.cap == 1
+    if outcome is IncompleteEnumerationError:  # stopped mid-search
+        assert exc.value.nodes > exc.value.cap
+    else:  # refused up front
+        assert exc.value.nodes is None

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mdkit.cli import run
+from mdkit.invariants import commutant_basis
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "perfbench" / "golden" / "cli"
@@ -73,6 +74,20 @@ def test_invariants_table_deterministic():
     runs = [mdk("invariants", "su2:10", "su2:10") for _ in range(2)]
     assert all(code == 0 for code, _, _ in runs)
     assert len({out for _, out, _ in runs}) == 1
+
+
+def test_invariants_table_builds_the_commutant_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return commutant_basis(*args)
+
+    monkeypatch.setattr("mdkit.invariants.commutant_basis", counted)
+    monkeypatch.setattr("mdkit.cli.commutant_basis", counted)
+    code, out, _ = mdk("invariants", "double:Z_2", "double:Z_2")
+    assert code == 0 and out.startswith("commutant dimension")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [

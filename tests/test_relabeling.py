@@ -106,7 +106,8 @@ def test_value_classes_ignore_rounding_boundaries():
 def test_coarse_eps_results_are_still_checked():
     # at eps = 1 the value classes merge every twist of toric code and
     # double semion, so only the final S/T check can refuse the candidate
-    tc, ds = preset("toric_code"), preset("double_semion")
-    assert equivalent_up_to_relabeling(tc, ds, eps=1.0) is None
-    a, b = build("tdouble:3:0"), build("tdouble:3:1")
-    assert_carries(equivalent_up_to_relabeling(a, b, eps=0.8), a, b, tol=0.8)
+    tc, ds = preset("toric_code", eps=1.0), preset("double_semion", eps=1.0)
+    assert equivalent_up_to_relabeling(tc, ds) is None
+    a = evaluate(parse_spec("tdouble:3:0"), eps=0.8)
+    b = evaluate(parse_spec("tdouble:3:1"), eps=0.8)
+    assert_carries(equivalent_up_to_relabeling(a, b), a, b, tol=0.8)
