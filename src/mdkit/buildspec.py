@@ -19,6 +19,8 @@ from .errors import MdkError, SpecParseError, UnknownPresetError
 from .constructors import (PRESETS, drinfeld_double, pointed, preset,
                            su2_level, twisted_double_cyclic)
 from .modular_data import ModularData, deligne_product, reverse
+from .serialize import (_slurp, load_modular_data, load_pointed_doc,
+                        resolve_group)
 
 __all__ = [
     "BuildSpec", "Preset", "Su2", "Double", "TDouble", "Pointed", "Prod",
@@ -96,7 +98,7 @@ class _Parser:
             self.pos += 1
         return self.text[start:self.pos]
 
-    def integer(self, what: str, lo: int, hi: int, stops=",)"):
+    def integer(self, what: str, lo: int, hi: int):
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
@@ -206,8 +208,6 @@ def evaluate(spec: BuildSpec, eps: float | None = None,
     which every analysis of it reads; `force` lets a non-validating file
     document through.
     """
-    from .serialize import (_slurp, load_modular_data, load_pointed_doc,
-                            resolve_group)
     if isinstance(spec, Preset):
         return preset(spec.name, eps=eps)
     if isinstance(spec, Su2):

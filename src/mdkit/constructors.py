@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import (DegenerateFormError, DimensionMismatchError, MdkError,
                      UnknownPresetError, _Budget)
-from .groups import (FiniteGroup, Subgroup, centralizer, character_table,
-                     cyclic, group_from_table)
+from .groups import (FiniteGroup, centralizer, character_table, cyclic,
+                     group_from_table)
 from .modular_data import ModularData
 from .numeric import default_eps, unit_root
 
@@ -122,12 +122,6 @@ def pointed(group: FiniteGroup, q, labels=None, eps: float | None = None) -> Mod
     return ModularData(S, q.values, labels=labels, eps=eps)
 
 
-def _subgroup_class_of(sub: Subgroup) -> dict[int, int]:
-    """parent element -> conjugacy-class index inside the subgroup."""
-    back = {parent: i for i, parent in enumerate(sub.embed)}
-    return {parent: sub.group.class_of[back[parent]] for parent in sub.embed}
-
-
 def drinfeld_double(G: FiniteGroup, *, eps: float | None = None) -> ModularData:
     """Untwisted double of a finite group.
 
@@ -147,14 +141,16 @@ def drinfeld_double(G: FiniteGroup, *, eps: float | None = None) -> ModularData:
     reps = [c[0] for c in G.classes]
     cents = [centralizer(G, a) for a in reps]
     charts = [character_table(c.group) for c in cents]
-    cls_of_sub = [_subgroup_class_of(c) for c in cents]
+    # parent element -> its conjugacy class inside each centralizer
+    sub_class = [np.full(G.order, -1) for _ in cents]
+    for cls, c in zip(sub_class, cents):
+        cls[list(c.embed)] = c.group.class_of
 
     labels: list[str] = []
     twists: list[complex] = []
-    blocks: list[tuple[int, int]] = []  # (class index, char row)
     for ci, a in enumerate(reps):
         chart = charts[ci]
-        a_cls = cls_of_sub[ci][a]
+        a_cls = sub_class[ci][a]
         m, y = 1, a
         while y != 0:
             y, m = int(G.table[y, a]), m + 1
@@ -167,25 +163,26 @@ def drinfeld_double(G: FiniteGroup, *, eps: float | None = None) -> ModularData:
             k = round(cmath.phase(theta) / (2 * math.pi) * m) % m
             root = unit_root(k, m)
             twists.append(root if abs(theta - root) < 1e-8 else theta)
-            blocks.append((ci, row))
     rank = len(labels)
 
     S = np.zeros((rank, rank), dtype=complex)
-    offsets = np.cumsum([0] + [charts[ci].values.shape[0] for ci in range(len(reps))])
+    offsets = np.cumsum([0] + [chart.values.shape[0] for chart in charts])
+    table = G.table
     xs = np.arange(G.order)
+    inv = np.array(G.inverses)
     for ca, a in enumerate(reps):
-        rows_a = charts[ca].values
+        rows_a = np.conj(charts[ca].values)
+        xax = table[table[inv, a], xs]  # x^-1 a x for every x
         for cb, b in enumerate(reps):
-            rows_b = charts[cb].values
-            acc = np.zeros((rows_a.shape[0], rows_b.shape[0]), dtype=complex)
-            for x in xs:
-                xbx = G.conjugate(int(x), b)
-                if G.table[a, xbx] != G.table[xbx, a]:
-                    continue
-                xax = G.conjugate(G.inverses[int(x)], a)
-                col_a = rows_a[:, cls_of_sub[ca][xbx]]
-                col_b = rows_b[:, cls_of_sub[cb][xax]]
-                acc += np.outer(np.conj(col_a), np.conj(col_b))
+            rows_b = np.conj(charts[cb].values)
+            xbx = table[table[xs, b], inv]  # x b x^-1 for every x
+            keep = table[a, xbx] == table[xbx, a]
+            cols_a = rows_a[:, sub_class[ca][xbx[keep]]].T
+            cols_b = rows_b[:, sub_class[cb][xax[keep]]].T
+            # an axis-0 sum adds in x order; a BLAS product would
+            # change the last bits of S
+            acc = np.sum(cols_a[:, :, None] * cols_b[:, None, :], axis=0,
+                         initial=0)
             norm = cents[ca].group.order * cents[cb].group.order
             S[offsets[ca]:offsets[ca + 1], offsets[cb]:offsets[cb + 1]] = acc / norm
 
@@ -210,14 +207,10 @@ def twisted_double_cyclic(n: int, p: int, eps: float | None = None) -> ModularDa
     if not 0 <= p < n:
         raise MdkError(f"twist index must satisfy 0 <= p < n, got p={p}")
     size = n * n
-    table = np.zeros((size, size), dtype=np.int64)
-    for a1 in range(n):
-        for j1 in range(n):
-            for a2 in range(n):
-                for j2 in range(n):
-                    a3, wrap = (a1 + a2) % n, (a1 + a2) // n
-                    j3 = (j1 + j2 + 2 * p * wrap) % n
-                    table[a1 * n + j1, a2 * n + j2] = a3 * n + j3
+    a1, j1, a2, j2 = np.ix_(*[np.arange(n)] * 4)
+    a3, wrap = (a1 + a2) % n, (a1 + a2) // n
+    j3 = (j1 + j2 + 2 * p * wrap) % n
+    table = (a3 * n + j3).reshape(size, size)
     group = group_from_table(table)
     q = [unit_root(n * a * j + p * a * a, size) for a in range(n) for j in range(n)]
     labels = [f"({a},{j})" for a in range(n) for j in range(n)]

@@ -55,13 +55,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
-    def conjugate(self, x: int, a: int) -> int:
-        """x a x^{-1}."""
-        return int(self.table[self.table[x, a], self.inverses[x]])
-
 
 def group_from_table(table) -> FiniteGroup:
     """Verify the group axioms exhaustively and derive class data.
@@ -99,14 +92,13 @@ def group_from_table(table) -> FiniteGroup:
         a, b, c = (int(x) for x in np.argwhere(left != right)[0])
         raise NotAGroupError(f"associativity fails at ({a}, {b}, {c})",
                              axiom="associativity", witness=(a, b, c))
-    inverses = []
-    for a in range(n):
-        hits = np.flatnonzero(t[a] == 0)
-        if len(hits) != 1 or t[hits[0], a] != 0:
-            raise NotAGroupError(f"element {a} has no two-sided inverse",
-                                 axiom="inverse", witness=a)
-        inverses.append(int(hits[0]))
-    inv = np.array(inverses)
+    is_unit = t == 0
+    inv = is_unit.argmax(axis=1)
+    bad = (is_unit.sum(axis=1) != 1) | (t[inv, idx] != 0)
+    if bad.any():
+        a = int(bad.argmax())
+        raise NotAGroupError(f"element {a} has no two-sided inverse",
+                             axiom="inverse", witness=a)
 
     seen = np.zeros(n, dtype=bool)
     classes = []
@@ -126,7 +118,7 @@ def group_from_table(table) -> FiniteGroup:
 
     t.setflags(write=False)
     return FiniteGroup(order=n, table=t, classes=tuple(classes),
-                       inverses=tuple(inverses),
+                       inverses=tuple(int(x) for x in inv),
                        class_of=tuple(int(x) for x in class_of))
 
 
@@ -226,15 +218,14 @@ def centralizer(g: FiniteGroup, a: int) -> Subgroup:
     """The centralizer {x : xa = ax} of element a, as a Subgroup."""
     if not 0 <= a < g.order:
         raise MdkError(f"element {a} out of range for order {g.order}")
-    members = [int(x) for x in np.flatnonzero(g.table[:, a] == g.table[a, :])]
-    index = {x: i for i, x in enumerate(members)}
-    m = len(members)
-    table = np.array([[index[g.mul(x, y)] for y in members] for x in members])
-    sub = group_from_table(table)
+    members = np.flatnonzero(g.table[:, a] == g.table[a, :])
+    index = np.full(g.order, -1)
+    index[members] = np.arange(len(members))
+    sub = group_from_table(index[g.table[np.ix_(members, members)]])
     cls_size = len(g.classes[g.class_of[a]])
-    if cls_size * m != g.order:
+    if cls_size * len(members) != g.order:
         raise MdkError("orbit-stabilizer identity violated (corrupt table?)")
-    return Subgroup(group=sub, embed=tuple(members))
+    return Subgroup(group=sub, embed=tuple(int(x) for x in members))
 
 
 @dataclass(frozen=True)

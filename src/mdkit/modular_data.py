@@ -181,7 +181,7 @@ def validate(md: ModularData) -> ValidationReport:
     checks.append(Check("t_unit", r == 0.0, r))
 
     worst = 0.0
-    for t in T:
+    for t in np.unique(T):
         frac = phase_fraction(complex(t), TWIST_ORDER_CAP, eps)
         if frac is None or abs(abs(t) - 1) >= eps:
             worst = math.inf

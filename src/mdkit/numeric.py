@@ -35,6 +35,10 @@ def default_eps() -> float:
     return value
 
 
+_QUARTER_TURNS = {Fraction(0): 1 + 0j, Fraction(1, 4): 1j,
+                  Fraction(1, 2): -1 + 0j, Fraction(3, 4): -1j}
+
+
 def unit_root(num: int, den: int) -> complex:
     """e^{2 pi i num/den}, exact at quarter turns.
 
@@ -44,10 +48,8 @@ def unit_root(num: int, den: int) -> complex:
     if den <= 0:
         raise ValueError("denominator must be positive")
     frac = Fraction(num, den) % 1
-    quarters = {Fraction(0): 1 + 0j, Fraction(1, 4): 1j,
-                Fraction(1, 2): -1 + 0j, Fraction(3, 4): -1j}
-    if frac in quarters:
-        return quarters[frac]
+    if frac in _QUARTER_TURNS:
+        return _QUARTER_TURNS[frac]
     return cmath.exp(2j * cmath.pi * frac.numerator / frac.denominator)
 
 

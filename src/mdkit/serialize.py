@@ -53,6 +53,20 @@ def _complex_in(obj, where: str) -> complex:
     return complex(obj["re"], obj["im"])
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MdkError(f"not valid JSON: {exc}") from None
+
+
+def _check_labels(labels, n: int) -> None:
+    if labels is not None and (not isinstance(labels, list)
+                               or len(labels) != n
+                               or any(not isinstance(l, str) for l in labels)):
+        raise MdkError(f"labels must be {n} strings")
+
+
 def load_modular_data(text: str, force: bool = False,
                       eps: float | None = None) -> ModularData:
     """Parse an interchange document.
@@ -60,10 +74,7 @@ def load_modular_data(text: str, force: bool = False,
     The document fails hard unless it validates; force=True skips that
     gate (the axioms can still be checked later via validate).
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MdkError(f"not valid JSON: {exc}") from None
+    doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise MdkError("top level of a modular-data document must be an object")
     for key in ("rank", "S", "T"):
@@ -82,10 +93,7 @@ def load_modular_data(text: str, force: bool = False,
                    for i in range(rank)] for j in range(rank)])
     T = [_complex_in(T_doc[i], f"T[{i}]") for i in range(rank)]
     labels = doc.get("labels")
-    if labels is not None and (not isinstance(labels, list)
-                               or len(labels) != rank
-                               or any(not isinstance(l, str) for l in labels)):
-        raise MdkError(f"labels must be {rank} strings")
+    _check_labels(labels, rank)
     if eps is None:
         eps = doc.get("eps")
         if eps is not None and not isinstance(eps, (int, float)):
@@ -107,10 +115,10 @@ def dump_group(g: FiniteGroup) -> str:
 
 
 def load_group(text: str) -> FiniteGroup:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MdkError(f"not valid JSON: {exc}") from None
+    return _group_from_doc(_parse_json(text))
+
+
+def _group_from_doc(doc) -> FiniteGroup:
     if not isinstance(doc, dict) or "table" not in doc:
         raise MdkError("group document must be an object with a 'table' field")
     group = group_from_table(doc["table"])
@@ -148,17 +156,14 @@ def load_pointed_doc(text: str):
     "q": [{"re","im"}, ...], "labels": [...] (optional)}.  Returns
     (group, q values, labels).
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MdkError(f"not valid JSON: {exc}") from None
+    doc = _parse_json(text)
     if not isinstance(doc, dict) or "group" not in doc or "q" not in doc:
         raise MdkError("pointed document needs 'group' and 'q' fields")
     gdoc = doc["group"]
     if isinstance(gdoc, str):
         group = resolve_group(gdoc)
     elif isinstance(gdoc, dict):
-        group = load_group(json.dumps(gdoc))
+        group = _group_from_doc(gdoc)
     else:
         raise MdkError("'group' must be a name or a group object")
     qdoc = doc["q"]
@@ -166,10 +171,7 @@ def load_pointed_doc(text: str):
         raise MdkError(f"'q' must list {group.order} unit complex values")
     q = [_complex_in(x, f"q[{i}]") for i, x in enumerate(qdoc)]
     labels = doc.get("labels")
-    if labels is not None and (not isinstance(labels, list)
-                               or len(labels) != group.order
-                               or not all(isinstance(x, str) for x in labels)):
-        raise MdkError(f"labels must be {group.order} strings")
+    _check_labels(labels, group.order)
     return group, q, labels
 
 

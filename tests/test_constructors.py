@@ -7,7 +7,8 @@ import pytest
 
 from mdkit import (DegenerateFormError, MdkError, PRESETS, QuadraticForm,
                    UnknownPresetError, central_charge, cyclic, deligne_product,
-                   drinfeld_double, equivalent_up_to_relabeling, gauss_sum,
+                   direct_product, drinfeld_double,
+                   equivalent_up_to_relabeling, gauss_sum,
                    group_preset, pointed, preset, su2_level,
                    twisted_double_cyclic, unit_root, verlinde_fusion)
 
@@ -152,9 +153,11 @@ def test_double_s3():
     assert md.validation().ok
 
 
-@pytest.mark.parametrize("name", ["Z_2", "Z_3", "S3", "D4"])
-def test_double_gauss_sum_and_charge(name):
-    g = group_preset(name)
+@pytest.mark.parametrize("g", [
+    cyclic(2), cyclic(3), group_preset("S3"), group_preset("D4"),
+    group_preset("Q8"), direct_product(group_preset("S3"), cyclic(2)),
+], ids=["Z_2", "Z_3", "S3", "D4", "Q8", "S3xZ_2"])
+def test_double_gauss_sum_and_charge(g):
     md = drinfeld_double(g)
     assert abs(gauss_sum(md) - g.order) < 1e-7
     assert central_charge(md) == 0

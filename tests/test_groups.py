@@ -36,6 +36,11 @@ def test_group_from_table_rejects_broken_tables():
     with pytest.raises(NotAGroupError) as exc:
         group_from_table(loop)
     assert exc.value.axiom == "associativity"
+    # an associative monoid: 1 * 1 = 1, so 1 has no inverse
+    with pytest.raises(NotAGroupError, match="element 1 has no two-sided inverse") as exc:
+        group_from_table([[0, 1], [1, 1]])
+    assert exc.value.axiom == "inverse"
+    assert exc.value.witness == 1
 
 
 def test_direct_product():
@@ -82,8 +87,11 @@ def test_centralizer_sizes():
     assert centralizer(g, 0).group.order == 6
 
 
-def test_centralizer_embedding_consistent():
-    g = group_preset("Q8")
+@pytest.mark.parametrize("g", [
+    group_preset("S3"), group_preset("D4"), group_preset("Q8"),
+    direct_product(group_preset("S3"), cyclic(2)),
+], ids=["S3", "D4", "Q8", "S3xZ_2"])
+def test_centralizer_embedding_consistent(g):
     for rep in (c[0] for c in g.classes):
         cent = centralizer(g, rep)
         emb = cent.embed
