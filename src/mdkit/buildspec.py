@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from .errors import MdkError, SpecParseError, UnknownPresetError
 from .constructors import (PRESETS, drinfeld_double, pointed, preset,
                            su2_level, twisted_double_cyclic)
+from .groups import GROUP_PRESETS
 from .modular_data import ModularData, deligne_product, reverse
+from .numeric import default_eps
 from .serialize import (_slurp, load_modular_data, load_pointed_doc,
                         resolve_group)
 
@@ -199,15 +201,52 @@ def render(spec: BuildSpec) -> str:
     raise TypeError(f"not a build spec: {spec!r}")
 
 
+# (S, T, labels) of each leaf whose data depends on the spec text alone,
+# keyed by (leaf, eps).  The arrays are read-only.  The grammar bounds the
+# keys per eps: 6 presets, 32 SU(2) levels, 15 group doubles in two
+# spellings and 78 twisted doubles.
+_BUILT: dict[tuple[BuildSpec, float], tuple] = {}
+
+
+def _built_in(spec: BuildSpec) -> bool:
+    """Whether a leaf names data that no file can change."""
+    if isinstance(spec, Double):
+        return spec.group.removeprefix("preset:") in GROUP_PRESETS
+    return isinstance(spec, (Preset, Su2, TDouble))
+
+
 def evaluate(spec: BuildSpec, eps: float | None = None,
              force: bool = False) -> ModularData:
     """Build the modular data a spec names.
 
-    File lookups happen here, not at parse time.  `eps` becomes the
-    tolerance of the result (a product takes the larger of its factors'),
-    which every analysis of it reads; `force` lets a non-validating file
-    document through.
+    File lookups happen here, not at parse time, and files are read on
+    every call.  Built-in leaves (presets, SU(2) levels, twisted doubles
+    and doubles of preset groups) are constructed once per process and
+    eps; each call still returns a new object, validated afresh.  `eps`
+    becomes the tolerance of the result (a product takes the larger of its
+    factors'), which every analysis of it reads; `force` lets a
+    non-validating file document through.
     """
+    if isinstance(spec, Prod):
+        return deligne_product(evaluate(spec.left, eps=eps, force=force),
+                               evaluate(spec.right, eps=eps, force=force))
+    if isinstance(spec, Rev):
+        return reverse(evaluate(spec.inner, eps=eps, force=force))
+    if not _built_in(spec):
+        return _build(spec, eps, force)
+    # the eps is part of the key: construction checks against it too
+    eps = default_eps() if eps is None else float(eps)
+    hit = _BUILT.get((spec, eps))
+    if hit is None:
+        md = _build(spec, eps, force)
+        _BUILT[spec, eps] = md.S, md.T, md.labels
+        return md
+    S, T, labels = hit
+    return ModularData(S, T, labels=labels, eps=eps)
+
+
+def _build(spec: BuildSpec, eps: float | None, force: bool) -> ModularData:
+    """Construct one leaf from scratch."""
     if isinstance(spec, Preset):
         return preset(spec.name, eps=eps)
     if isinstance(spec, Su2):
@@ -219,11 +258,6 @@ def evaluate(spec: BuildSpec, eps: float | None = None,
     if isinstance(spec, Pointed):
         group, q, labels = load_pointed_doc(_slurp(spec.path))
         return pointed(group, q, labels=labels, eps=eps)
-    if isinstance(spec, Prod):
-        return deligne_product(evaluate(spec.left, eps=eps, force=force),
-                               evaluate(spec.right, eps=eps, force=force))
-    if isinstance(spec, Rev):
-        return reverse(evaluate(spec.inner, eps=eps, force=force))
     if isinstance(spec, File):
         return load_modular_data(_slurp(spec.path), force=force, eps=eps)
     raise TypeError(f"not a build spec: {spec!r}")

@@ -283,8 +283,10 @@ def _check_ring(N: np.ndarray) -> None:
     """Check the unit row, commutativity and associativity of an integer N.
 
     Associativity, sum_m N_ij^m N_mk^l = sum_m N_jk^m N_im^l, is compared
-    one i at a time as two (n, n^2) matrix products.  They run in float64
-    when ``n * max(N)**2 < 2**53``: every partial sum is then an integer
+    one i at a time as two matrix products, for k >= i only: once
+    commutativity holds, the identity for (i, j, k) is the one for
+    (k, j, i) with its sides swapped.  The products run in float64 when
+    ``n * max(N)**2 < 2**53``: every partial sum is then an integer
     float64 holds exactly, so the comparison stays exact.  Otherwise the
     same products run in int64.
 
@@ -299,9 +301,12 @@ def _check_ring(N: np.ndarray) -> None:
     if not np.array_equal(N, N.transpose(1, 0, 2)):
         raise MdkError("fusion ring is not commutative in the lower indices")
     M = N.astype(np.float64) if n * int(N.max()) ** 2 < 2 ** 53 else N
-    rows, cols = M.reshape(n, n * n), M.reshape(n * n, n)
+    rows = M.reshape(n, n * n)
     for i in range(n):
-        if not np.array_equal(M[i] @ rows, (cols @ M[i]).reshape(n, n * n)):
+        left = (M[i] @ rows[:, i * n:]).reshape(n, n - i, n)  # [j, k, l]
+        # N_jk^m = N_kj^m, so the rows for k >= i are the slice M[i:]
+        right = (M[i:].reshape(-1, n) @ M[i]).reshape(n - i, n, n)
+        if not np.array_equal(left, right.transpose(1, 0, 2)):
             raise MdkError("fusion ring violates associativity")
 
 

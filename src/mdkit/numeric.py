@@ -68,9 +68,10 @@ def phase_fraction(z: complex, max_den: int, tol: float) -> Fraction | None:
     """Write z/|z| as e^{2 pi i t} with t rational, denominator <= max_den.
 
     Returns t in [0, 1) or None if no bounded rational reproduces the phase
-    within tol (measured on the unit circle, not on the angle).
+    within tol (measured on the unit circle, not on the angle), and None
+    for zero or a non-finite z.
     """
-    if z == 0:
+    if z == 0 or not cmath.isfinite(z):
         return None
     angle = cmath.phase(z) / (2 * math.pi) % 1.0
     frac = Fraction(angle).limit_denominator(max_den) % 1

@@ -50,12 +50,19 @@ def _complex_in(obj, where: str) -> complex:
     if (not isinstance(obj, dict) or set(obj) != {"re", "im"}
             or not all(isinstance(obj[k], (int, float)) for k in obj)):
         raise MdkError(f"{where}: expected an object with re/im numbers")
-    return complex(obj["re"], obj["im"])
+    try:
+        return complex(obj["re"], obj["im"])
+    except OverflowError:
+        raise MdkError(f"{where}: number too large for a double") from None
+
+
+def _reject_constant(name: str):
+    raise MdkError(f"not valid JSON: {name} is not a number")
 
 
 def _parse_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise MdkError(f"not valid JSON: {exc}") from None
 

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdkit import (MdkError, PRESETS, SpecParseError, UnknownPresetError,
-                   ValidationFailedError, default_eps, dump_modular_data,
-                   equivalent_up_to_relabeling, evaluate, load_modular_data,
-                   parse_spec, preset, render, su2_level)
+                   ValidationFailedError, buildspec, cyclic, default_eps,
+                   drinfeld_double, dump_group, dump_modular_data,
+                   equivalent_up_to_relabeling, evaluate, group_preset,
+                   load_modular_data, parse_spec, preset, render, su2_level,
+                   twisted_double_cyclic)
 from mdkit.buildspec import (Double, File, Pointed, Preset, Prod, Rev, Su2,
                              TDouble)
 
@@ -162,3 +164,85 @@ def test_default_eps_env(monkeypatch):
     monkeypatch.setenv("MDK_EPS", "-3")
     with pytest.raises(ValueError):
         default_eps()
+
+
+@pytest.mark.parametrize("text, direct", [
+    ("preset:ising", lambda: preset("ising")),
+    ("su2:7", lambda: su2_level(7)),
+    ("double:Q8", lambda: drinfeld_double(group_preset("Q8"))),
+    ("double:preset:S3", lambda: drinfeld_double(group_preset("S3"))),
+    ("tdouble:6:5", lambda: twisted_double_cyclic(6, 5)),
+])
+def test_built_in_leaves_are_fresh_copies_of_the_constructor(text, direct):
+    want = direct()
+    first, second = (evaluate(parse_spec(text)) for _ in range(2))
+    assert first is not second
+    for md in (first, second):
+        assert md.S.tobytes() == want.S.tobytes()
+        assert md.T.tobytes() == want.T.tobytes()
+        assert md.labels == want.labels
+        assert md.eps == want.eps
+
+
+def test_one_construction_serves_every_use_of_a_leaf(monkeypatch):
+    monkeypatch.setattr(buildspec, "_BUILT", {})
+    calls = []
+
+    def counted(group, **kwargs):
+        calls.append(group)
+        return drinfeld_double(group, **kwargs)
+
+    monkeypatch.setattr(buildspec, "drinfeld_double", counted)
+    for text in ("double:Q8", "double:Q8", "prod(double:Q8,double:Q8)"):
+        evaluate(parse_spec(text)).require_valid()
+    assert len(calls) == 1
+
+
+def test_reused_leaves_take_the_callers_eps(monkeypatch):
+    monkeypatch.delenv("MDK_EPS", raising=False)
+    node = parse_spec("su2:3")
+    assert evaluate(node).eps == 1e-9
+    assert evaluate(node, eps=1e-12).eps == 1e-12
+    monkeypatch.setenv("MDK_EPS", "1e-18")
+    # a cached 1e-9 build must not serve a stricter tolerance
+    assert evaluate(node).eps == 1e-18
+    assert not evaluate(node).validation().ok
+    assert evaluate(node, eps=1e-9).validation().ok
+
+
+def test_reused_leaves_share_no_state(monkeypatch):
+    monkeypatch.delenv("MDK_EPS", raising=False)
+    node = parse_spec("tdouble:3:1")
+    first = evaluate(node)
+    first.eps = 0.5
+    report = first.validation()
+    second = evaluate(node)
+    assert second.eps == 1e-9
+    assert second.validation() is not report
+
+
+def test_construction_errors_are_not_cached(monkeypatch):
+    monkeypatch.delenv("MDK_EPS", raising=False)
+    node = parse_spec("tdouble:5:2")
+    evaluate(node)
+    with pytest.raises(MdkError, match="unit circle"):
+        evaluate(node, eps=1e-20)
+    monkeypatch.setenv("MDK_EPS", "1e-20")
+    with pytest.raises(MdkError, match="unit circle"):
+        evaluate(node)
+
+
+def test_files_are_read_on_every_evaluate(tmp_path):
+    group = tmp_path / "group.json"
+    node = parse_spec(f"double:{group}")
+    group.write_text(dump_group(cyclic(2)))
+    assert evaluate(node).rank == 4
+    group.write_text(dump_group(cyclic(3)))
+    assert evaluate(node).rank == 9
+
+    data = tmp_path / "data.json"
+    node = parse_spec(str(data))
+    data.write_text(dump_modular_data(preset("semion")))
+    assert evaluate(node).labels == ("1", "s")
+    data.write_text(dump_modular_data(preset("fibonacci")))
+    assert evaluate(node).labels == ("1", "tau")

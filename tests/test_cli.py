@@ -254,6 +254,14 @@ def test_numeric_failures_exit_1(exc, monkeypatch):
     ("double:", None),  # a directory, not a file
     ("pointed:", {"group": "Z_2", "labels": [1, {"a": 2}],
                   "q": [{"re": 1, "im": 0}, {"re": 0, "im": 1}]}),
+    # a semion whose twist is written as the JSON extension NaN
+    ("", {"rank": 2, "S": [[{"re": 0.5 ** 0.5, "im": 0}] * 2,
+                           [{"re": 0.5 ** 0.5, "im": 0},
+                            {"re": -0.5 ** 0.5, "im": 0}]],
+          "T": [{"re": 1, "im": 0}, {"re": math.nan, "im": 0}]}),
+    # an integer past the double range
+    ("pointed:", {"group": "Z_2",
+                  "q": [{"re": 1, "im": 0}, {"re": 10 ** 400, "im": 0}]}),
 ])
 def test_malformed_input_files_exit_1(prefix, doc, tmp_path):
     path = tmp_path / "doc.json"

@@ -75,6 +75,11 @@ def test_validate_catches_nonunit_t0():
 def test_validate_catches_wrong_twist():
     report = validate(ModularData(TORIC_S, [1.0, 1.0, 1.0, 0.5 - 0.5j]))
     assert not report["t_roots_of_unity"].passed
+    # a non-finite twist fails the check instead of raising
+    for bad in (complex(np.nan, 0), complex(np.inf, 0)):
+        with np.errstate(invalid="ignore"):
+            report = validate(ModularData(TORIC_S, [1.0, 1.0, 1.0, bad]))
+        assert not report["t_roots_of_unity"].passed
 
 
 def test_validate_catches_negative_row0():

@@ -47,6 +47,12 @@ def test_phase_fraction_rejects_off_circle_direction():
     assert phase_fraction(cmath.exp(0.123j), max_den=10, tol=1e-9) is None
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0, math.inf),
+                               complex(-math.inf, 1)])
+def test_phase_fraction_rejects_non_finite(z):
+    assert phase_fraction(z, max_den=10, tol=1e-9) is None
+
+
 def test_nearest_int():
     assert nearest_int(3.0000000001) == 3
     assert nearest_int(-2.0) == -2
