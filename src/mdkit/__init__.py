@@ -12,7 +12,8 @@ from .errors import (DegeneracyResolutionError, DegenerateFormError,
                      DimensionMismatchError, IncompleteEnumerationError,
                      MdkError, NonIntegralError, NonRationalChargeError,
                      NotAGroupError, SearchBudgetError, SpecParseError,
-                     UnknownPresetError, ValidationFailedError)
+                     ToleranceError, UnknownPresetError,
+                     ValidationFailedError)
 from .modular_data import (Check, FusionRing, ModularData, ValidationReport,
                            central_charge, charge_conjugation, deligne_product,
                            gauss_sum, reverse, validate, verlinde_fusion)
@@ -41,6 +42,7 @@ __all__ = [
     "NotAGroupError", "DegeneracyResolutionError", "DegenerateFormError",
     "NonRationalChargeError", "ValidationFailedError", "SearchBudgetError",
     "IncompleteEnumerationError", "SpecParseError", "UnknownPresetError",
+    "ToleranceError",
     "ModularData", "Check", "ValidationReport", "FusionRing", "validate",
     "verlinde_fusion", "gauss_sum", "central_charge", "deligne_product",
     "reverse", "charge_conjugation",

@@ -20,7 +20,7 @@ from .constructors import (PRESETS, drinfeld_double, pointed, preset,
                            su2_level, twisted_double_cyclic)
 from .groups import GROUP_PRESETS
 from .modular_data import ModularData, deligne_product, reverse
-from .numeric import default_eps
+from .numeric import checked_eps, default_eps
 from .serialize import (_slurp, load_modular_data, load_pointed_doc,
                         resolve_group)
 
@@ -224,9 +224,12 @@ def evaluate(spec: BuildSpec, eps: float | None = None,
     and doubles of preset groups) are constructed once per process and
     eps; each call still returns a new object, validated afresh.  `eps`
     becomes the tolerance of the result (a product takes the larger of its
-    factors'), which every analysis of it reads; `force` lets a
-    non-validating file document through.
+    factors'), which every analysis of it reads; it must be a finite
+    number > 0 (ToleranceError otherwise).  `force` lets a non-validating
+    file document through.
     """
+    if eps is not None:
+        eps = checked_eps(eps)
     if isinstance(spec, Prod):
         return deligne_product(evaluate(spec.left, eps=eps, force=force),
                                evaluate(spec.right, eps=eps, force=force))
@@ -235,7 +238,7 @@ def evaluate(spec: BuildSpec, eps: float | None = None,
     if not _built_in(spec):
         return _build(spec, eps, force)
     # the eps is part of the key: construction checks against it too
-    eps = default_eps() if eps is None else float(eps)
+    eps = default_eps() if eps is None else eps
     hit = _BUILT.get((spec, eps))
     if hit is None:
         md = _build(spec, eps, force)

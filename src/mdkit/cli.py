@@ -20,11 +20,11 @@ from .algebras import (algebra_from_invariant, anisotropy_screen,
                        local_modules_dim, screen_algebra, witt_invariants,
                        witt_obstruction)
 from .buildspec import evaluate, parse_spec
-from .errors import MdkError
+from .errors import MdkError, ToleranceError
 from .invariants import (_NODE_CAP, _invariants_in, commutant_basis,
                          enumerate_invariants)
 from .modular_data import central_charge, validate, verlinde_fusion
-from .numeric import TWIST_ORDER_CAP, phase_fraction
+from .numeric import TWIST_ORDER_CAP, checked_eps, phase_fraction
 from .serialize import dump_modular_data, invariants_doc
 
 __all__ = ["run", "main"]
@@ -36,6 +36,13 @@ def _mult_arg(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--mult wants comma-separated integers, got {text!r}") from None
+
+
+def _eps_arg(text: str) -> float:
+    try:
+        return checked_eps(text, "value")
+    except ToleranceError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_data(args, attr="spec"):
@@ -234,7 +241,7 @@ def _cmd_anisotropy(args) -> int:
 
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--eps", type=float, default=None,
+    common.add_argument("--eps", type=_eps_arg, default=None,
                         help="tolerance override (beats MDK_EPS)")
     common.add_argument("--format", choices=["table", "json"],
                         default="table")

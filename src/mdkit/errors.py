@@ -64,6 +64,14 @@ class ValidationFailedError(MdkError):
         self.report = report
 
 
+class ToleranceError(MdkError, ValueError):
+    """A tolerance is not a finite number > 0.
+
+    Also a ValueError, so a caller that catches ValueError from
+    ``default_eps`` on a bad MDK_EPS still does.
+    """
+
+
 class SearchBudgetError(MdkError):
     """A bounded search would exceed, or ran past, its budget ``cap``;
     ``nodes`` is the count reached, None if refused before it started."""

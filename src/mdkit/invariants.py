@@ -107,20 +107,54 @@ class ModularInvariant:
         self.Z.setflags(write=False)
 
 
+# Coordinate values enumerate_invariants tries before it raises, and
+# nodes the block-decomposition (Gram) search of classify_invariant
+# visits before the invariant falls through to "other".
+_NODE_CAP = 10 ** 8
+_GRAM_NODE_CAP = 100_000
+# Estimated bytes of one commutant solve (sketched system and SVD factors)
+# past which commutant_basis refuses.  The rank-128 commutant of
+# prod(double:S3,double:Z_4) estimates 0.85 GB and peaks at 1.15 GB RSS.
+_COMMUTANT_BYTES_CAP = 1_500_000_000
+
+
+def _test_matrix(n: int, k: int) -> np.ndarray:
+    """Fixed n x k sketch matrix: the identity when k >= n.
+
+    Otherwise entries in [-1, 1) from a splitmix64 hash of the flat
+    index: deterministic, and generic enough for a range finder without
+    loading numpy.random.
+    """
+    if k >= n:
+        return np.eye(n)
+    z = np.arange(1, n * k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)) * 2.0 ** -52 - 1.0).reshape(n, k)
+
+
 def commutant_basis(left: ModularData,
                     right: ModularData | None = None) -> CommutantBasis:
     """Solve the linear intertwiner equations.
 
     The T-relation zeroes every entry (j, i) with theta^L_i != theta^R_j,
-    so only the surviving positions enter the S-relation, which is solved
-    by a thin SVD (null space at 1e-8 relative threshold).  The system has
-    at least as many rows as unknowns, so the thin SVD yields the same
-    right singular vectors as the full one without forming the square
-    left factor.  The null-space basis is canonicalized by reduced row
-    echelon form and written as int64 numerators over one common
-    denominator, each distinct value approximated with denominator up to
-    10^6; if any entry resists, or the rationalized rows no longer solve
-    the system, the float basis is kept and ``rationalized`` is False.
+    so only the P surviving positions enter the S-relation.  That
+    relation is imposed on k columns only: (Z S_L - S_R Z) V = 0 for a
+    fixed rL x k test matrix V, k = ceil((P + 8) / rR) + 2, which gives
+    2 rR k > 2P real rows and, for generic V, the same null space as all
+    2 rR rL (a randomized range finder, Halko-Martinsson-Tropp 2011).
+    Once k reaches rL, V is the identity and the system is the full one.
+    The null space comes from a thin SVD at a 1e-8 relative threshold,
+    is canonicalized by reduced row echelon form and written as int64
+    numerators over one common denominator, each distinct value
+    approximated with denominator up to 10^6.  Every basis row is then
+    checked against the full relation Z S_L = S_R Z (real and imaginary
+    parts within 1e-6).  If the rationalized rows fail but the float rows
+    pass, the float basis is kept and ``rationalized`` is False; if the
+    float rows fail too while k < rL, V was not generic enough and the
+    solve is repeated with k doubled.  Raises MdkError when the
+    estimated memory of a solve is past ``_COMMUTANT_BYTES_CAP``.
     """
     if right is None:
         right = left
@@ -129,43 +163,64 @@ def commutant_basis(left: ModularData,
     tol = max(left.eps, right.eps)
     rL, rR = left.rank, right.rank
 
-    positions = tuple((j, i) for j in range(rR) for i in range(rL)
-                      if abs(right.T[j] - left.T[i]) < tol)
+    js, is_ = np.nonzero(np.abs(right.T[:, None] - left.T[None, :]) < tol)
+    positions = tuple(zip(js.tolist(), is_.tolist()))
     P = len(positions)
+    SL, SR = left.S, right.S
+    parts = ((SL.real, SR.real), (SL.imag, SR.imag))
 
-    A = np.zeros((rR * rL, P), dtype=complex)
-    cols = np.arange(rL)
-    rows = np.arange(rR)
-    for k, (j, i) in enumerate(positions):
-        A[j * rL + cols, k] += left.S[i, :]
-        A[rows * rL + i, k] -= right.S[:, j]
+    def worst_residual(rows, den):
+        B = np.zeros((rows.shape[0], rR, rL))
+        B[:, js, is_] = rows / den
+        return max(np.abs(B @ sl - sr @ B).max() for sl, sr in parts)
 
-    M = np.vstack([A.real, A.imag])
-    _, sv, vt = np.linalg.svd(M, full_matrices=False)
+    k = math.ceil((P + 8) / rR) + 2
+    while True:
+        V = _test_matrix(rL, k)
+        k = V.shape[1]
+        null = _sketched_null_space(SL, SR, V, js, is_)
+        m = null.shape[0]
+        if m == 0:
+            return CommutantBasis(rL, rR, positions,
+                                  np.zeros((0, P), np.int64), 1, (), True)
+        R, pivots = rref(null, tol=1e-10)
+        if R.shape[0] != m:
+            raise MdkError("null-space basis lost rank during canonicalization")
+        exact = rationalize(R, max_den=10 ** 6, tol=1e-7)
+        if exact is not None and worst_residual(*exact) <= 1e-6:
+            return CommutantBasis(rL, rR, positions, *exact, tuple(pivots),
+                                  True)
+        if k == rL or worst_residual(R, 1) <= 1e-6:
+            return CommutantBasis(rL, rR, positions, R, 1, tuple(pivots),
+                                  False)
+        k *= 2
+
+
+def _sketched_null_space(SL, SR, V, js, is_):
+    """Null space of the real system of (Z S_L - S_R Z) V = 0, as rows.
+
+    Column p of the system, for the entry Z[js[p], is_[p]], is
+    e_j (x) (S_L V)[i] - S_R[:, j] (x) V[i] over (row of Z S_L V, column
+    of V), stacked as real parts over imaginary parts.
+    """
+    rR, k, P = SR.shape[0], V.shape[1], js.size
+    rows = 2 * rR * k
+    # the system, the LAPACK copy of it and U, then Vt and workspace
+    need = 8 * (3 * rows * P + 4 * P * P)
+    if need > _COMMUTANT_BYTES_CAP:
+        raise MdkError(
+            f"commutant solve of a {rows} x {P} system needs about "
+            f"{need / 1e6:,.0f} MB, past the {_COMMUTANT_BYTES_CAP / 1e6:,.0f} MB cap")
+    M = np.zeros((2, rR, k, P))
+    SLV = SL @ V
+    p = np.arange(P)
+    for half, slv, sr in ((M[0], SLV.real, SR.real), (M[1], SLV.imag, SR.imag)):
+        half[js, :, p] = slv[is_]
+        half -= sr[:, js][:, None, :] * V[is_].T
+    # with fewer rows than unknowns only the full Vt spans the null space
+    _, sv, vt = np.linalg.svd(M.reshape(rows, P), full_matrices=rows < P)
     cut = 1e-8 * max(1.0, sv[0] if sv.size else 0.0)
-    rank = int((sv > cut).sum())
-    null = vt[rank:]
-    m = null.shape[0]
-    if m == 0:
-        return CommutantBasis(rL, rR, positions, np.zeros((0, P), np.int64),
-                              1, (), True)
-
-    R, pivots = rref(null, tol=1e-10)
-    if R.shape[0] != m:
-        raise MdkError("null-space basis lost rank during canonicalization")
-
-    exact = rationalize(R, max_den=10 ** 6, tol=1e-7)
-    # the rationalized rows must still solve the system
-    if exact is None or np.abs(M @ (exact[0] / exact[1]).T).max() > 1e-6:
-        return CommutantBasis(rL, rR, positions, R, 1, tuple(pivots), False)
-    return CommutantBasis(rL, rR, positions, *exact, tuple(pivots), True)
-
-
-# Coordinate values enumerate_invariants tries before it raises, and
-# nodes the block-decomposition (Gram) search of classify_invariant
-# visits before the invariant falls through to "other".
-_NODE_CAP = 10 ** 8
-_GRAM_NODE_CAP = 100_000
+    return vt[int((sv > cut).sum()):]
 
 
 def _partitions_into_squares(r: int, mx: int):

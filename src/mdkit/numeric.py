@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonIntegralError
+from .errors import NonIntegralError, ToleranceError
 
 DEFAULT_EPS = 1e-9
 INTEGER_EPS = 1e-6
@@ -24,15 +24,25 @@ CHARGE_DENOMINATOR_CAP = 240
 TWIST_ORDER_CAP = 10080
 
 
+def checked_eps(value, what: str = "eps") -> float:
+    """``value`` as a float tolerance.
+
+    Raises ToleranceError unless it converts to a finite float > 0: under
+    NaN every check compares false, and under inf every check passes.
+    """
+    try:
+        eps = float(value)
+    except (TypeError, ValueError):
+        eps = math.nan
+    if not (math.isfinite(eps) and eps > 0):
+        raise ToleranceError(f"{what} must be a finite number > 0, got {value!r}")
+    return eps
+
+
 def default_eps() -> float:
     """Global tolerance, honoring the MDK_EPS environment variable."""
     raw = os.environ.get("MDK_EPS")
-    if raw is None:
-        return DEFAULT_EPS
-    value = float(raw)
-    if value <= 0:
-        raise ValueError(f"MDK_EPS must be positive, got {raw!r}")
-    return value
+    return DEFAULT_EPS if raw is None else checked_eps(raw, "MDK_EPS")
 
 
 _QUARTER_TURNS = {Fraction(0): 1 + 0j, Fraction(1, 4): 1j,

@@ -232,6 +232,15 @@ def test_construction_errors_are_not_cached(monkeypatch):
         evaluate(node)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0, 0.0, "abc"])
+def test_bad_eps_is_refused_before_the_cache(eps, monkeypatch):
+    monkeypatch.setattr(buildspec, "_BUILT", {})
+    for text in ("su2:3", "prod(su2:3,preset:ising)"):
+        with pytest.raises(MdkError, match="eps must be a finite number > 0"):
+            evaluate(parse_spec(text), eps=eps)
+    assert buildspec._BUILT == {}
+
+
 def test_files_are_read_on_every_evaluate(tmp_path):
     group = tmp_path / "group.json"
     node = parse_spec(f"double:{group}")

@@ -231,6 +231,21 @@ def test_eps_flag_beats_env(monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "abc"])
+def test_bad_eps_flag_is_a_usage_error(value):
+    code, out, err = mdk("validate", "preset:ising", "--eps", value)
+    assert code == 2 and out == ""
+    assert "argument --eps: value must be a finite number > 0" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-3", "abc"])
+def test_bad_mdk_eps_is_an_error_line(value, monkeypatch):
+    monkeypatch.setenv("MDK_EPS", value)
+    code, out, err = mdk("validate", "preset:ising")
+    assert code == 1 and out == ""
+    assert err == f"error: MDK_EPS must be a finite number > 0, got {value!r}\n"
+
+
 @pytest.mark.parametrize("exc", [
     MemoryError(),
     np.linalg.LinAlgError("SVD did not converge"),

@@ -1,5 +1,6 @@
 """Tests for the commutant basis and the modular invariant solver."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from mdkit import (IncompleteEnumerationError, ModularData, ModularInvariant,
                    classify_invariant, commutant_basis, enumerate_invariants,
-                   evaluate, parse_spec, preset, reverse, su2_level)
+                   MdkError, evaluate, parse_spec, preset, reverse,
+                   su2_level)
+from mdkit import invariants
 from mdkit.invariants import _classify, _coordinate_search
 
 
@@ -323,3 +326,52 @@ def test_commutant_and_search_build_no_fraction_per_entry(monkeypatch):
     # approximate the 4 distinct values of the 11 x 28 echelon basis once
     assert cb.coords.shape == (11, 28)
     assert len(made) == 2 * np.unique(cb.coords).size == 8
+
+
+@pytest.mark.parametrize("spec, digest", [
+    ("tdouble:7:3", "2bce7c12ec57494315938adc"),
+    ("prod(double:S3,double:Z_2)", "18ed4f03a8dd001486f1a591"),
+    ("double:Q8", "c2df762cafca499395ab5d34"),
+    ("double:D4", "156b3962986fa4d704c47203"),
+])
+def test_commutant_matches_pinned_digest(spec, digest):
+    # pinned from the dense solve of all 2 n^2 equations
+    cb = commutant_basis(build(spec))
+    h = hashlib.sha256(repr((cb.positions, cb.denominator, cb.pivots)).encode())
+    h.update(np.ascontiguousarray(cb.coords, dtype=np.int64).tobytes())
+    assert h.hexdigest()[:24] == digest
+
+
+@pytest.mark.parametrize("spec", ["double:S3", "prod(double:S3,double:Z_2)"])
+def test_too_narrow_sketch_is_widened(spec, monkeypatch):
+    md = build(spec)
+    want = commutant_basis(md)
+    widths = []
+    real = invariants._test_matrix
+
+    def narrow_first(n, k):
+        widths.append(1 if not widths else k)
+        return real(n, widths[-1])
+
+    monkeypatch.setattr(invariants, "_test_matrix", narrow_first)
+    got = commutant_basis(md)
+    # one column leaves spurious null vectors that fail the full relation
+    assert widths[:3] == [1, 2, 4]
+    assert got.rationalized and got.denominator == want.denominator
+    assert got.positions == want.positions and got.pivots == want.pivots
+    assert got.coords.tobytes() == want.coords.tobytes()
+
+
+def test_sketch_matrix_is_fixed_and_full_rank():
+    V = invariants._test_matrix(40, 7)
+    assert V.shape == (40, 7) and np.abs(V).max() < 1
+    assert V.tobytes() == invariants._test_matrix(40, 7).tobytes()
+    assert np.linalg.matrix_rank(V) == 7
+    assert (invariants._test_matrix(5, 9) == np.eye(5)).all()
+
+
+def test_oversized_commutant_is_refused_before_allocating(monkeypatch):
+    md = build("tdouble:7:3")
+    monkeypatch.setattr(invariants, "_COMMUTANT_BYTES_CAP", 10 ** 6)
+    with pytest.raises(MdkError, match=r"needs about [\d,]+ MB, past the 1 MB cap"):
+        commutant_basis(md)
