@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, MdkError, NonRationalChargeError,
-                     SearchBudgetError, _Budget)
+from .errors import (DimensionMismatchError, IncompleteEnumerationError,
+                     MdkError, NonRationalChargeError, _Budget)
 from .invariants import ModularInvariant, _intertwines
 from .modular_data import (Check, ModularData, central_charge,
                            deligne_product, gauss_sum, reverse)
@@ -29,11 +29,9 @@ __all__ = [
 ]
 
 
-# Nodes the Witt search for a Lagrangian candidate visits before it
-# gives up and reports the verdict as inconclusive, and the box (product
-# of the entry bounds) past which the anisotropy screen refuses its input.
-_LAGRANGIAN_NODE_CAP = 10 ** 6
-_ANISOTROPY_BOX_CAP = 10 ** 7
+# Nodes a commutative-algebra candidate search (the Witt Lagrangian
+# search and the anisotropy screen) visits before it stops.
+_CANDIDATE_NODE_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ class WittInvariants:
     reasons: tuple[str, ...]
 
 
-def _candidate_vectors(md: ModularData, lo: float, hi: float, node_cap: float):
+def _candidate_vectors(md: ModularData, lo: float, hi: float):
     """Yield every integer vector n with n_0 = 1, 0 <= n_i <= floor(d_i +
     1e-6) on the trivial-twist objects (|theta_i - 1| <= md.eps), zero
     elsewhere, and lo <= sum n_i d_i <= hi.
@@ -205,7 +203,8 @@ def _candidate_vectors(md: ModularData, lo: float, hi: float, node_cap: float):
     Objects are taken by decreasing d_i and each n_i from its bound down
     to 0.  A branch is cut when its running sum passes hi, or when even
     the largest completion stays below lo.  Raises
-    IncompleteEnumerationError once more than node_cap nodes are visited.
+    IncompleteEnumerationError once more than _CANDIDATE_NODE_CAP nodes
+    are visited.
     """
     d = md.dims
     live = [i for i in range(1, md.rank) if abs(md.T[i] - 1.0) <= md.eps]
@@ -216,7 +215,7 @@ def _candidate_vectors(md: ModularData, lo: float, hi: float, node_cap: float):
         suffix[k] = suffix[k + 1] + bounds[k] * d[live[k]]
     vec = np.zeros(md.rank, dtype=np.int64)
     vec[0] = 1
-    budget = _Budget("candidate search", node_cap)
+    budget = _Budget("candidate search", _CANDIDATE_NODE_CAP)
 
     def walk(k: int, acc: float):
         budget.spend()
@@ -247,9 +246,8 @@ def witt_invariants(md: ModularData) -> WittInvariants:
         reasons.append(f"central charge {charge} is nonzero mod 8")
     target = math.sqrt(md.global_dim)
     try:
-        next(_candidate_vectors(md, target - 1e-4, target + 1e-4,
-                                _LAGRANGIAN_NODE_CAP))
-    except SearchBudgetError:
+        next(_candidate_vectors(md, target - 1e-4, target + 1e-4))
+    except IncompleteEnumerationError:
         reasons.append("no trivial-twist candidate of dimension sqrt(dim) "
                        "found within the search budget (inconclusive)")
     except StopIteration:
@@ -320,23 +318,16 @@ class AnisotropyReport:
 def anisotropy_screen(md: ModularData) -> AnisotropyReport:
     """Exhaustive bounded search for commutative-algebra candidates.
 
-    Enumerates every vector with n_0 = 1, n_i <= floor(d_i + 1e-6) and
-    d(Gamma)^2 <= dim C, screening each.  The box sets the limit: a
-    product of the entry bounds over 10^7, as at every rank >= 25 (each
-    d_i >= 1), raises SearchBudgetError rather than truncating.
+    Enumerates every vector with n_0 = 1, n_i <= floor(d_i + 1e-6) on
+    the trivial-twist objects (only those can pass the screens) and
+    d(Gamma)^2 <= dim C, screening each.  A search that visits more than
+    _CANDIDATE_NODE_CAP (10^6) nodes raises IncompleteEnumerationError
+    rather than truncating.
     """
     md.require_valid()
-    box = math.prod(math.floor(d + 1e-6) + 1.0 for d in md.dims[1:])
-    if box > _ANISOTROPY_BOX_CAP:
-        raise SearchBudgetError(
-            f"rank {md.rank}: {box:.3g} candidate vectors exceed the "
-            f"{_ANISOTROPY_BOX_CAP:.0e} budget", cap=_ANISOTROPY_BOX_CAP)
-
-    # only trivial-twist support can pass the screens, so enumerate there;
-    # the box check above bounds the tree, so no node cap is needed
     hi = math.sqrt(md.global_dim + _dimension_slack(md))
     found = [tuple(int(x) for x in vec)
-             for vec in _candidate_vectors(md, 0.0, hi, math.inf)
+             for vec in _candidate_vectors(md, 0.0, hi)
              if screen_algebra(md, vec).passes]
     found.sort(key=lambda t: (sum(t), t))
     nontrivial = tuple(t for t in found if sum(t[1:]) > 0)

@@ -18,7 +18,7 @@ from .errors import (DegenerateFormError, DimensionMismatchError, MdkError,
 from .groups import (FiniteGroup, centralizer, character_table, cyclic,
                      group_from_table)
 from .modular_data import ModularData
-from .numeric import default_eps, unit_root
+from .numeric import _mix, checked_eps, default_eps, unit_root
 
 __all__ = [
     "QuadraticForm", "pointed", "drinfeld_double", "twisted_double_cyclic",
@@ -60,7 +60,7 @@ class QuadraticForm:
     """
 
     def __init__(self, group: FiniteGroup, values, eps: float | None = None):
-        self.eps = default_eps() if eps is None else float(eps)
+        self.eps = default_eps() if eps is None else checked_eps(eps)
         if not group.is_abelian:
             raise MdkError("quadratic forms require an abelian group")
         q = np.array(values, dtype=complex)
@@ -116,10 +116,10 @@ def pointed(group: FiniteGroup, q, labels=None, eps: float | None = None) -> Mod
     """
     if not isinstance(q, QuadraticForm):
         q = QuadraticForm(group, q, eps=eps)
-    eps = q.eps if eps is None else float(eps)
     n = group.order
     S = np.conj(q.bilinear) / np.sqrt(n)
-    return ModularData(S, q.values, labels=labels, eps=eps)
+    return ModularData(S, q.values, labels=labels,
+                       eps=q.eps if eps is None else eps)
 
 
 def drinfeld_double(G: FiniteGroup, *, eps: float | None = None) -> ModularData:
@@ -137,7 +137,6 @@ def drinfeld_double(G: FiniteGroup, *, eps: float | None = None) -> ModularData:
     """
     if G.order > 200:
         raise MdkError(f"double supports |G| <= 200, got {G.order}")
-    eps = default_eps() if eps is None else float(eps)
     reps = [c[0] for c in G.classes]
     cents = [centralizer(G, a) for a in reps]
     charts = [character_table(c.group) for c in cents]
@@ -295,14 +294,6 @@ def preset(name: str, eps: float | None = None) -> ModularData:
 # Individualisation nodes the relabeling matcher tries before it raises;
 # at rank 144 a node costs 0.3-2 ms, so the cap is reached within 4 s.
 _RELABEL_NODE_CAP = 2000
-
-
-def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64: a fixed 64-bit mix, elementwise on uint64 arrays."""
-    z = z + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
 
 
 def _value_classes(x: np.ndarray, tol: float) -> np.ndarray:

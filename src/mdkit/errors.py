@@ -73,8 +73,10 @@ class ToleranceError(MdkError, ValueError):
 
 
 class SearchBudgetError(MdkError):
-    """A bounded search would exceed, or ran past, its budget ``cap``;
-    ``nodes`` is the count reached, None if refused before it started."""
+    """A bounded search ran past its budget: ``nodes`` is the count
+    reached and ``cap`` the cap.  Every search in mdkit stops through
+    :class:`_Budget`, which raises the subclass
+    :class:`IncompleteEnumerationError`."""
 
     def __init__(self, message, nodes=None, cap=None):
         super().__init__(message)

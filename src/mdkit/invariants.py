@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import MdkError, SearchBudgetError, _Budget
 from .modular_data import ModularData
-from .numeric import rationalize, rref
+from .numeric import _mix, rationalize, rref
 
 __all__ = [
     "CommutantBasis", "ModularInvariant", "commutant_basis",
@@ -127,10 +127,7 @@ def _test_matrix(n: int, k: int) -> np.ndarray:
     """
     if k >= n:
         return np.eye(n)
-    z = np.arange(1, n * k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z = _mix(np.arange(n * k, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15))
     return ((z >> np.uint64(11)) * 2.0 ** -52 - 1.0).reshape(n, k)
 
 

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import (DimensionMismatchError, MdkError, NonIntegralError,
                      NonRationalChargeError, ValidationFailedError)
 from .numeric import (CHARGE_DENOMINATOR_CAP, INTEGER_EPS, TWIST_ORDER_CAP,
-                      default_eps, permutation_from_matrix, phase_fraction,
-                      unit_root)
+                      checked_eps, default_eps, permutation_from_matrix,
+                      phase_fraction, unit_root)
 
 __all__ = [
     "ModularData", "FusionRing", "Check", "ValidationReport", "validate",
@@ -114,7 +114,7 @@ class ModularData:
         self.T = T
         self.rank = rank
         self.labels = labels
-        self.eps = default_eps() if eps is None else float(eps)
+        self.eps = default_eps() if eps is None else checked_eps(eps)
         self._report: ValidationReport | None = None
 
     @property

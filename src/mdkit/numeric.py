@@ -45,6 +45,14 @@ def default_eps() -> float:
     return DEFAULT_EPS if raw is None else checked_eps(raw, "MDK_EPS")
 
 
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64: a fixed 64-bit mix, elementwise on uint64 arrays."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 _QUARTER_TURNS = {Fraction(0): 1 + 0j, Fraction(1, 4): 1j,
                   Fraction(1, 2): -1 + 0j, Fraction(3, 4): -1j}
 

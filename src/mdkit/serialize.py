@@ -103,7 +103,7 @@ def load_modular_data(text: str, force: bool = False,
     _check_labels(labels, rank)
     if eps is None:
         eps = doc.get("eps")
-        if eps is not None and not isinstance(eps, (int, float)):
+        if eps is not None and type(eps) not in (int, float):
             raise MdkError(f"eps must be a number, got {eps!r}")
     md = ModularData(S, T, labels=labels, eps=eps)
     if not force:

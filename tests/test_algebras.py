@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import CORPUS_SPECS
-from mdkit import (MdkError, ModularData, SearchBudgetError,
+from mdkit import (IncompleteEnumerationError, MdkError, ModularData,
                    algebra_from_invariant, anisotropy_screen, cyclic,
                    deligne_product, drinfeld_double, enumerate_invariants,
                    evaluate, local_modules_dim, parse_spec, preset, reverse,
@@ -158,7 +158,7 @@ def test_witt_center_candidates(build):
 
 def test_witt_search_past_its_cap_is_inconclusive(monkeypatch):
     md = drinfeld_double(cyclic(3))
-    monkeypatch.setattr("mdkit.algebras._LAGRANGIAN_NODE_CAP", 1)
+    monkeypatch.setattr("mdkit.algebras._CANDIDATE_NODE_CAP", 1)
     wi = witt_invariants(md)
     assert not wi.is_center_candidate
     assert any("(inconclusive)" in r for r in wi.reasons)
@@ -166,12 +166,9 @@ def test_witt_search_past_its_cap_is_inconclusive(monkeypatch):
     assert witt_invariants(md).is_center_candidate
 
 
-@pytest.mark.parametrize("spec", [
-    s for s in CORPUS_SPECS
-    if s not in ("su2:16", "double:Z_5", "double:Z_6", "double:D4",
-                 "double:Q8")  # refused by anisotropy_screen
-] + ["prod(preset:fibonacci,rev(preset:fibonacci))",
-     "prod(preset:ising,rev(preset:ising))"])
+@pytest.mark.parametrize("spec", list(CORPUS_SPECS) + [
+    "prod(preset:fibonacci,rev(preset:fibonacci))",
+    "prod(preset:ising,rev(preset:ising))"])
 def test_witt_lagrangian_matches_anisotropy_candidates(spec):
     # one enumerator serves both screens: a Lagrangian candidate is an
     # anisotropy candidate of dimension sqrt(dim)
@@ -232,8 +229,14 @@ def test_anisotropy_trivial():
     assert rep.candidates == ((1,),)
 
 
-def test_anisotropy_budget_and_rank_limits():
-    with pytest.raises(SearchBudgetError):
-        anisotropy_screen(su2_level(16))
-    with pytest.raises(MdkError, match="rank"):
-        anisotropy_screen(su2_level(24))
+def test_anisotropy_budget_and_rank_limits(monkeypatch):
+    # the search walks only the trivial-twist objects, so high rank alone
+    # does not exhaust its node cap
+    for spec, count in [("su2:16", 2), ("su2:24", 2), ("double:Z_5", 163),
+                        ("double:Q8", 1376), ("double:D4", 2592)]:
+        report = anisotropy_screen(evaluate(parse_spec(spec)))
+        assert len(report.candidates) == count
+    monkeypatch.setattr("mdkit.algebras._CANDIDATE_NODE_CAP", 100)
+    with pytest.raises(IncompleteEnumerationError) as exc:
+        anisotropy_screen(evaluate(parse_spec("double:Z_5")))
+    assert exc.value.cap == 100 and exc.value.nodes > exc.value.cap

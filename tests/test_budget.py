@@ -26,13 +26,13 @@ CAPPED = {
                     build("tdouble:12:0")), IncompleteEnumerationError),
     "gram": ("mdkit.invariants._GRAM_NODE_CAP",
              lambda: _classify(np.array([[1, 0], [0, 2]])), "other"),
-    "witt": ("mdkit.algebras._LAGRANGIAN_NODE_CAP",
+    "witt": ("mdkit.algebras._CANDIDATE_NODE_CAP",
              lambda: witt_invariants(build("double:Z_3")).reasons,
              ("no trivial-twist candidate of dimension sqrt(dim) found "
               "within the search budget (inconclusive)",)),
-    "anisotropy": ("mdkit.algebras._ANISOTROPY_BOX_CAP",
+    "anisotropy": ("mdkit.algebras._CANDIDATE_NODE_CAP",
                    lambda: anisotropy_screen(preset("toric_code")),
-                   SearchBudgetError),
+                   IncompleteEnumerationError),
 }
 
 
@@ -41,13 +41,10 @@ def test_a_cap_of_one_stops_every_search(monkeypatch, name):
     cap, search, outcome = CAPPED[name]
     if cap is not None:
         monkeypatch.setattr(cap, 1)
-    if outcome not in (IncompleteEnumerationError, SearchBudgetError):
+    if outcome is not IncompleteEnumerationError:
         assert search() == outcome
         return
     with pytest.raises(SearchBudgetError) as exc:
         search()
     assert type(exc.value) is outcome and exc.value.cap == 1
-    if outcome is IncompleteEnumerationError:  # stopped mid-search
-        assert exc.value.nodes > exc.value.cap
-    else:  # refused up front
-        assert exc.value.nodes is None
+    assert exc.value.nodes > exc.value.cap  # stopped mid-search

@@ -239,6 +239,12 @@ def test_bad_eps_is_refused_before_the_cache(eps, monkeypatch):
         with pytest.raises(MdkError, match="eps must be a finite number > 0"):
             evaluate(parse_spec(text), eps=eps)
     assert buildspec._BUILT == {}
+    # the constructors check it too, so no data carries a bad tolerance
+    for build in (lambda: preset("ising", eps=eps),
+                  lambda: su2_level(4, eps=eps),
+                  lambda: drinfeld_double(cyclic(2), eps=eps)):
+        with pytest.raises(MdkError, match="eps must be a finite number > 0"):
+            build()
 
 
 def test_files_are_read_on_every_evaluate(tmp_path):

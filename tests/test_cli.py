@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mdkit import dump_modular_data, preset
 from mdkit.cli import run
 from mdkit.invariants import commutant_basis
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "perfbench" / "golden" / "cli"
+SEMION_DOC = json.loads(dump_modular_data(preset("semion")))
 
 
 def mdk(*argv):
@@ -113,12 +115,25 @@ def test_usage_errors_exit_2(argv):
     ("algebra", "screen", "preset:toric_code", "--mult", "0,1,0,0"),
     ("algebra", "from-invariant", "preset:fibonacci", "preset:fibonacci",
      "--index", "5"),
-    ("anisotropy", "su2:16"),
 ])
 def test_domain_errors_exit_1(argv):
     code, out, err = mdk(*argv)
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_anisotropy_of_high_rank_data_answers():
+    # rank 17, but only two trivial-twist objects to search
+    code, out, err = mdk("anisotropy", "su2:16", "--format", "json")
+    assert code == 0, err
+    assert len(json.loads(out)["candidates"]) == 2
+
+
+def test_anisotropy_past_its_node_cap_is_an_error_line(monkeypatch):
+    monkeypatch.setattr("mdkit.algebras._CANDIDATE_NODE_CAP", 1)
+    code, out, err = mdk("anisotropy", "preset:toric_code")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "1-node cap" in err
 
 
 def test_algebra_screen_output():
@@ -277,6 +292,10 @@ def test_numeric_failures_exit_1(exc, monkeypatch):
     # an integer past the double range
     ("pointed:", {"group": "Z_2",
                   "q": [{"re": 1, "im": 0}, {"re": 10 ** 400, "im": 0}]}),
+    # a valid semion with a tolerance that is not a finite number > 0
+    ("", {**SEMION_DOC, "eps": -1}),
+    ("", {**SEMION_DOC, "eps": 0}),
+    ("", {**SEMION_DOC, "eps": True}),
 ])
 def test_malformed_input_files_exit_1(prefix, doc, tmp_path):
     path = tmp_path / "doc.json"
@@ -288,3 +307,5 @@ def test_malformed_input_files_exit_1(prefix, doc, tmp_path):
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+    if doc and "eps" in doc:
+        assert err.startswith("error: eps must be")
