@@ -95,8 +95,13 @@ def _as_mult(host: ModularData, mult) -> np.ndarray:
     if arr.shape != (host.rank,):
         raise DimensionMismatchError(
             f"multiplicity vector has shape {arr.shape}, host rank {host.rank}")
-    rounded = np.round(arr.astype(float)).astype(np.int64)
-    if np.abs(arr.astype(float) - rounded).max() > 1e-9:
+    values = arr.astype(float)
+    # checked on the floats: 2^63 - 1 rounds to 2^63, past the int64 cast
+    if not (np.abs(values) < 2.0 ** 63).all():
+        raise MdkError("multiplicities must lie in the int64 range, "
+                       "|n| < 2^63")
+    rounded = np.round(values).astype(np.int64)
+    if np.abs(values - rounded).max() > 1e-9:
         raise MdkError("multiplicities must be integers")
     if rounded.min() < 0:
         raise MdkError("multiplicities must be nonnegative")

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Results go to the output stream, diagnostics to the error stream.  Exit
-codes: 0 success, 1 domain error (or running out of memory, or a failed
-linear-algebra routine), 2 usage error.  Identical inputs give
-byte-identical output.
+codes: 0 success, 1 domain error (or running out of memory or stack
+depth, or a failed linear-algebra routine), 2 usage error.  Identical
+inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from .algebras import (algebra_from_invariant, anisotropy_screen,
                        witt_obstruction)
 from .buildspec import evaluate, parse_spec
 from .errors import MdkError, ToleranceError
-from .invariants import (_NODE_CAP, _invariants_in, commutant_basis,
-                         enumerate_invariants)
+from .invariants import _invariants_in, commutant_basis, enumerate_invariants
 from .modular_data import central_charge, validate, verlinde_fusion
 from .numeric import TWIST_ORDER_CAP, checked_eps, phase_fraction
 from .serialize import dump_modular_data, invariants_doc
@@ -133,7 +132,7 @@ def _cmd_invariants(args) -> int:
     left = _build_data(args, "left")
     right = _build_data(args, "right")
     cb = commutant_basis(left, right)
-    invs = _invariants_in(cb, left, right, args.node_cap)
+    invs = _invariants_in(cb, left, right)
     if args.format == "json":
         sys.stdout.write(invariants_doc(invs))
         return 0
@@ -179,7 +178,7 @@ def _cmd_algebra_screen(args) -> int:
 def _cmd_algebra_from_invariant(args) -> int:
     left = _build_data(args, "left")
     right = _build_data(args, "right")
-    invs = enumerate_invariants(left, right, node_cap=args.node_cap)
+    invs = enumerate_invariants(left, right)
     if not 0 <= args.index < len(invs):
         raise MdkError(f"--index {args.index} out of range: "
                        f"{len(invs)} invariants found")
@@ -272,7 +271,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="enumerate modular invariants")
     i.add_argument("left")
     i.add_argument("right")
-    i.add_argument("--node-cap", type=int, default=_NODE_CAP)
     i.set_defaults(func=_cmd_invariants)
 
     a = sub.add_parser("algebra", help="commutative-algebra screening")
@@ -289,7 +287,6 @@ def _parser() -> argparse.ArgumentParser:
     afi.add_argument("right")
     afi.add_argument("--index", type=int, required=True,
                      help="invariant index in canonical order")
-    afi.add_argument("--node-cap", type=int, default=_NODE_CAP)
     afi.add_argument("--lenient", action="store_true")
     afi.set_defaults(func=_cmd_algebra_from_invariant)
 
@@ -320,7 +317,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         except MdkError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        except (MemoryError, np.linalg.LinAlgError) as exc:
+        except (MemoryError, RecursionError, np.linalg.LinAlgError) as exc:
             detail = f": {exc}" if str(exc) else ""
             print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
             return 1

@@ -313,7 +313,7 @@ def classify_invariant(z: ModularInvariant) -> str:
     return _classify(np.asarray(z.Z))
 
 
-def _coordinate_search(DB, scale, slack, boxes, caps, node_cap):
+def _coordinate_search(DB, scale, slack, boxes, caps):
     """Integer points of {sum_k c_k DB[k] / scale} with every entry in range.
 
     DB is the (m, P) basis, scaled by ``scale`` and in reduced-echelon
@@ -347,7 +347,7 @@ def _coordinate_search(DB, scale, slack, boxes, caps, node_cap):
     hi[:m] = np.cumsum((np.maximum(DB, 0) * boxes)[::-1], axis=0)[::-1]
     lo[:m] = np.cumsum((np.minimum(DB, 0) * boxes)[::-1], axis=0)[::-1]
     found = []
-    budget = _Budget("invariant search", node_cap)
+    budget = _Budget("invariant search", _NODE_CAP)
 
     def expand(t, acc):
         vals = np.arange(1, 2) if t == 0 else np.arange(boxes[t, 0] + 1)
@@ -375,8 +375,8 @@ def _intertwines(Z: np.ndarray, left: ModularData, right: ModularData):
     return max(s_res, t_res) <= max(left.eps, right.eps, 1e-9), s_res, t_res
 
 
-def enumerate_invariants(left: ModularData, right: ModularData | None = None,
-                         node_cap: int = _NODE_CAP) -> list[ModularInvariant]:
+def enumerate_invariants(left: ModularData, right: ModularData | None = None
+                         ) -> list[ModularInvariant]:
     """All modular invariants between two data sets, canonically sorted.
 
     Depth-first search over the m pivot coordinates of the reduced-echelon
@@ -391,13 +391,9 @@ def enumerate_invariants(left: ModularData, right: ModularData | None = None,
     matrix scaled by the common denominator of its entries; a float
     basis (rationalization failed, or the scaled search could overflow
     int64) is searched with 1e-6 integrality and bound slack.  Every
-    result is verified against S and T before it is returned.
-
-    Parameters
-    ----------
-    node_cap : int
-        Budget on coordinate assignments tried; exceeding it raises
-        IncompleteEnumerationError rather than returning a partial list.
+    result is verified against S and T before it is returned.  Trying
+    more than _NODE_CAP (10^8) coordinate values raises
+    IncompleteEnumerationError rather than returning a partial list.
 
     Returns
     -------
@@ -406,11 +402,11 @@ def enumerate_invariants(left: ModularData, right: ModularData | None = None,
     """
     if right is None:
         right = left
-    return _invariants_in(commutant_basis(left, right), left, right, node_cap)
+    return _invariants_in(commutant_basis(left, right), left, right)
 
 
-def _invariants_in(cb: CommutantBasis, left: ModularData, right: ModularData,
-                   node_cap: int) -> list[ModularInvariant]:
+def _invariants_in(cb: CommutantBasis, left: ModularData,
+                   right: ModularData) -> list[ModularInvariant]:
     if cb.dimension == 0 or cb.positions[cb.pivots[0]] != (0, 0):
         return []  # every element of the commutant has Z_00 = 0
     js, is_ = np.array(cb.positions).T
@@ -423,7 +419,7 @@ def _invariants_in(cb: CommutantBasis, left: ModularData, right: ModularData,
     else:
         DB, scale, slack = cb.coords / cb.denominator, 1.0, 1e-6
         caps = bounds.astype(float)
-    found = _coordinate_search(DB, scale, slack, boxes, caps, node_cap)
+    found = _coordinate_search(DB, scale, slack, boxes, caps)
 
     results = []
     for vec in found:

@@ -48,7 +48,7 @@ def dump_modular_data(md: ModularData) -> str:
 
 def _complex_in(obj, where: str) -> complex:
     if (not isinstance(obj, dict) or set(obj) != {"re", "im"}
-            or not all(isinstance(obj[k], (int, float)) for k in obj)):
+            or not all(type(obj[k]) in (int, float) for k in obj)):
         raise MdkError(f"{where}: expected an object with re/im numbers")
     try:
         return complex(obj["re"], obj["im"])
@@ -88,7 +88,7 @@ def load_modular_data(text: str, force: bool = False,
         if key not in doc:
             raise MdkError(f"document is missing the {key!r} field")
     rank = doc["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:
         raise MdkError(f"rank must be a positive integer, got {rank!r}")
     S_doc, T_doc = doc["S"], doc["T"]
     if (not isinstance(S_doc, list) or len(S_doc) != rank
@@ -129,8 +129,9 @@ def _group_from_doc(doc) -> FiniteGroup:
     if not isinstance(doc, dict) or "table" not in doc:
         raise MdkError("group document must be an object with a 'table' field")
     group = group_from_table(doc["table"])
-    if "order" in doc and doc["order"] != group.order:
-        raise MdkError(f"declared order {doc['order']} does not match the "
+    order = doc.get("order", group.order)
+    if type(order) is not int or order != group.order:
+        raise MdkError(f"declared order {order!r} does not match the "
                        f"table size {group.order}")
     return group
 

@@ -15,11 +15,12 @@ def build(spec):
     return evaluate(parse_spec(spec))
 
 
-# (module constant holding the cap, or None when the cap is an argument;
-#  the search; its outcome with the cap at 1)
+# (module constant holding the cap; the search; its outcome with the cap
+#  at 1)
 CAPPED = {
-    "invariants": (None, lambda: enumerate_invariants(
-        preset("toric_code"), node_cap=1), IncompleteEnumerationError),
+    "invariants": ("mdkit.invariants._NODE_CAP",
+                   lambda: enumerate_invariants(preset("toric_code")),
+                   IncompleteEnumerationError),
     "matcher": ("mdkit.constructors._RELABEL_NODE_CAP",
                 lambda: equivalent_up_to_relabeling(
                     build("prod(double:Z_3,double:Z_4)"),
@@ -39,8 +40,7 @@ CAPPED = {
 @pytest.mark.parametrize("name", CAPPED)
 def test_a_cap_of_one_stops_every_search(monkeypatch, name):
     cap, search, outcome = CAPPED[name]
-    if cap is not None:
-        monkeypatch.setattr(cap, 1)
+    monkeypatch.setattr(cap, 1)
     if outcome is not IncompleteEnumerationError:
         assert search() == outcome
         return

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from mdkit.invariants import commutant_basis
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "perfbench" / "golden" / "cli"
 SEMION_DOC = json.loads(dump_modular_data(preset("semion")))
+TRIVIAL_DOC = {"rank": 1, "S": [[{"re": 1, "im": 0}]],
+               "T": [{"re": 1, "im": 0}]}
 
 
 def mdk(*argv):
@@ -102,6 +105,9 @@ def test_invariants_table_builds_the_commutant_once(monkeypatch):
     ("algebra", "from-invariant", "su2:4", "su2:4"),
     ("invariants", "su2:4", "su2:4", "--workers", "2"),
     ("build", "double:S3", "--seed", "7"),
+    ("invariants", "su2:4", "su2:4", "--node-cap", "5"),
+    ("algebra", "from-invariant", "su2:4", "su2:4", "--index", "0",
+     "--node-cap", "5"),
 ])
 def test_usage_errors_exit_2(argv):
     code, out, err = mdk(*argv)
@@ -115,6 +121,7 @@ def test_usage_errors_exit_2(argv):
     ("algebra", "screen", "preset:toric_code", "--mult", "0,1,0,0"),
     ("algebra", "from-invariant", "preset:fibonacci", "preset:fibonacci",
      "--index", "5"),
+    ("build", "rev(" * 2000 + "preset:ising" + ")" * 2000),
 ])
 def test_domain_errors_exit_1(argv):
     code, out, err = mdk(*argv)
@@ -134,6 +141,23 @@ def test_anisotropy_past_its_node_cap_is_an_error_line(monkeypatch):
     code, out, err = mdk("anisotropy", "preset:toric_code")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "1-node cap" in err
+
+
+def test_invariants_past_their_node_cap_is_an_error_line(monkeypatch):
+    monkeypatch.setattr("mdkit.invariants._NODE_CAP", 1)
+    code, out, err = mdk("invariants", "preset:toric_code",
+                         "preset:toric_code")
+    assert code == 1 and out == ""
+    assert err == "error: invariant search ran past its 1-node cap\n"
+
+
+def test_oversized_multiplicity_is_an_error_line():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = mdk("algebra", "screen", "preset:toric_code",
+                             "--mult", "1,99999999999999999999999,0,0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "int64 range" in err
 
 
 def test_algebra_screen_output():
@@ -296,6 +320,12 @@ def test_numeric_failures_exit_1(exc, monkeypatch):
     ("", {**SEMION_DOC, "eps": -1}),
     ("", {**SEMION_DOC, "eps": 0}),
     ("", {**SEMION_DOC, "eps": True}),
+    # JSON true where a number belongs
+    ("", {**TRIVIAL_DOC, "rank": True}),
+    ("", {**TRIVIAL_DOC, "S": [[{"re": True, "im": False}]]}),
+    ("pointed:", {"group": "Z_2",
+                  "q": [{"re": True, "im": 0}, {"re": 0, "im": 1}]}),
+    ("double:", {"order": True, "table": [[0]]}),
 ])
 def test_malformed_input_files_exit_1(prefix, doc, tmp_path):
     path = tmp_path / "doc.json"

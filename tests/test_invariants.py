@@ -150,9 +150,10 @@ def test_solver_matches_lattice_oracle(left, right, lattice_oracle):
         assert (g == w).all()
 
 
-def test_node_cap_aborts():
+def test_node_cap_aborts(monkeypatch):
+    monkeypatch.setattr("mdkit.invariants._NODE_CAP", 10)
     with pytest.raises(IncompleteEnumerationError) as exc:
-        enumerate_invariants(preset("toric_code"), node_cap=10)
+        enumerate_invariants(preset("toric_code"))
     assert exc.value.cap == 10
     assert exc.value.nodes >= 10
 
@@ -285,7 +286,7 @@ def test_coordinate_search_kernel(DB, scale, slack):
     # only odd c_1 gives an integer third entry, and c_1 = 3 is the top
     # of its box
     caps = scale * np.array([1, 3, 3])
-    found = _coordinate_search(DB, scale, slack, [1, 3], caps, node_cap=100)
+    found = _coordinate_search(DB, scale, slack, [1, 3], caps)
     got = sorted(tuple(int(x) for x in vec) for vec in found)
     assert got == [(1, 1, 1), (1, 3, 2)]
 
