@@ -95,8 +95,10 @@ def _as_mult(host: ModularData, mult) -> np.ndarray:
     if arr.shape != (host.rank,):
         raise DimensionMismatchError(
             f"multiplicity vector has shape {arr.shape}, host rank {host.rank}")
-    values = arr.astype(float)
-    # checked on the floats: 2^63 - 1 rounds to 2^63, past the int64 cast
+    try:  # checked on the floats: 2^63 - 1 rounds to 2^63, past int64
+        values = arr.astype(float)
+    except OverflowError:  # an integer past the double range
+        values = np.array([math.inf])
     if not (np.abs(values) < 2.0 ** 63).all():
         raise MdkError("multiplicities must lie in the int64 range, "
                        "|n| < 2^63")
@@ -201,15 +203,16 @@ class WittInvariants:
 
 
 def _candidate_vectors(md: ModularData, lo: float, hi: float):
-    """Yield every integer vector n with n_0 = 1, 0 <= n_i <= floor(d_i +
-    1e-6) on the trivial-twist objects (|theta_i - 1| <= md.eps), zero
-    elsewhere, and lo <= sum n_i d_i <= hi.
+    """Yield as tuples the integer vectors n with n_0 = 1, 0 <= n_i <=
+    floor(d_i + 1e-6) on the trivial-twist objects (|theta_i - 1| <=
+    md.eps), zero elsewhere, and lo <= sum n_i d_i <= hi.  With hi^2 <=
+    min(dim C + slack, dim C / (1 - 1e-6)) each passes every required
+    screen of `screen_algebra`.
 
-    Objects are taken by decreasing d_i and each n_i from its bound down
-    to 0.  A branch is cut when its running sum passes hi, or when even
-    the largest completion stays below lo.  Raises
-    IncompleteEnumerationError once more than _CANDIDATE_NODE_CAP nodes
-    are visited.
+    Objects are taken by decreasing d_i, each n_i from its bound down to
+    0; a branch is cut when its running sum passes hi or even its largest
+    completion stays below lo.  Raises IncompleteEnumerationError once
+    more than _CANDIDATE_NODE_CAP nodes are visited.
     """
     d = md.dims
     live = [i for i in range(1, md.rank) if abs(md.T[i] - 1.0) <= md.eps]
@@ -227,7 +230,7 @@ def _candidate_vectors(md: ModularData, lo: float, hi: float):
         if acc > hi or acc + suffix[k] < lo:
             return
         if k == len(live):
-            yield vec.copy()
+            yield tuple(vec.tolist())
             return
         i = live[k]
         for n in range(bounds[k], -1, -1):
@@ -324,17 +327,14 @@ def anisotropy_screen(md: ModularData) -> AnisotropyReport:
     """Exhaustive bounded search for commutative-algebra candidates.
 
     Enumerates every vector with n_0 = 1, n_i <= floor(d_i + 1e-6) on
-    the trivial-twist objects (only those can pass the screens) and
-    d(Gamma)^2 <= dim C, screening each.  A search that visits more than
-    _CANDIDATE_NODE_CAP (10^6) nodes raises IncompleteEnumerationError
-    rather than truncating.
+    the trivial-twist objects and d(Gamma)^2 within both dimension
+    screens: these bounds are the screens, so each vector found passes.
+    Past _CANDIDATE_NODE_CAP (10^6) nodes it raises IncompleteEnumerationError.
     """
     md.require_valid()
-    hi = math.sqrt(md.global_dim + _dimension_slack(md))
-    found = [tuple(int(x) for x in vec)
-             for vec in _candidate_vectors(md, 0.0, hi)
-             if screen_algebra(md, vec).passes]
-    found.sort(key=lambda t: (sum(t), t))
+    dim = md.global_dim
+    hi = math.sqrt(min(dim + _dimension_slack(md), dim / (1.0 - 1e-6)))
+    found = sorted(_candidate_vectors(md, 0.0, hi), key=lambda t: (sum(t), t))
     nontrivial = tuple(t for t in found if sum(t[1:]) > 0)
     return AnisotropyReport(md.rank, tuple(found), nontrivial,
                             not nontrivial)

@@ -1,5 +1,6 @@
 """Tests for algebra screening, Witt invariants and anisotropy."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from mdkit import (IncompleteEnumerationError, MdkError, ModularData,
                    evaluate, local_modules_dim, parse_spec, preset, reverse,
                    screen_algebra, su2_level, witt_inverse, witt_invariants,
                    witt_obstruction, witt_product)
+from mdkit.algebras import _candidate_vectors, _dimension_slack
 
 
 def test_screen_toric_lagrangians():
@@ -240,3 +242,18 @@ def test_anisotropy_budget_and_rank_limits(monkeypatch):
     with pytest.raises(IncompleteEnumerationError) as exc:
         anisotropy_screen(evaluate(parse_spec("double:Z_5")))
     assert exc.value.cap == 100 and exc.value.nodes > exc.value.cap
+
+
+@pytest.mark.parametrize("spec, eps", [
+    (spec, eps) for eps in (1e-9, 1e-6, 1e-3) for spec in CORPUS_SPECS
+] + [("preset:ising", 2.0)])
+def test_anisotropy_candidates_are_the_screened_enumeration(spec, eps):
+    # reference: enumerate under the dimension_bound alone and keep what
+    # screen_algebra passes.  At eps = 2 every Ising twist counts as
+    # trivial, and only the local_quotient screen removes (1, 0, 1)
+    md = evaluate(parse_spec(spec), eps=eps)
+    hi = math.sqrt(md.global_dim + _dimension_slack(md))
+    want = sorted((v for v in _candidate_vectors(md, 0.0, hi)
+                   if screen_algebra(md, v).passes),
+                  key=lambda t: (sum(t), t))
+    assert anisotropy_screen(md).candidates == tuple(want)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdkit import dump_modular_data, preset
 from mdkit.cli import run
@@ -152,12 +153,14 @@ def test_invariants_past_their_node_cap_is_an_error_line(monkeypatch):
 
 
 def test_oversized_multiplicity_is_an_error_line():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = mdk("algebra", "screen", "preset:toric_code",
-                             "--mult", "1,99999999999999999999999,0,0")
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "int64 range" in err
+    # 23 nines pass the double range, 400 do not
+    for big in ("99999999999999999999999", "9" * 400):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = mdk("algebra", "screen", "preset:toric_code",
+                                 "--mult", f"1,{big},0,0")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "int64 range" in err
 
 
 def test_algebra_screen_output():
@@ -339,3 +342,54 @@ def test_malformed_input_files_exit_1(prefix, doc, tmp_path):
     assert "Traceback" not in err
     if doc and "eps" in doc:
         assert err.startswith("error: eps must be")
+
+
+def assert_clean_exit(code, err):
+    # every command ends in an exit code; a domain error also ends
+    # stderr with an error: line
+    assert code in (0, 1, 2), err
+    if code == 1:
+        assert err.splitlines()[-1].startswith("error:"), err
+
+
+_mult_ints = st.one_of(st.integers(-1, 3),
+                      st.integers(-10 ** 400, 10 ** 400)).map(str)
+_mults = st.one_of(
+    # rank 4 with n_0 = 1, so the later screens are reached
+    st.lists(_mult_ints, min_size=3, max_size=3).map(
+        lambda rest: ",".join(["1", *rest])),
+    st.lists(st.one_of(_mult_ints,
+                       st.sampled_from(["", " ", "x", "1.5", "nan", "--"])),
+             max_size=6).map(",".join))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mults)
+def test_fuzzed_mult_lists_end_cleanly(mult):
+    code, _, err = mdk("algebra", "screen", "preset:toric_code", "--mult", mult)
+    assert_clean_exit(code, err)
+
+
+# whole leaves of rank <= 4, and fragments that assemble leaves of rank
+# <= 9; six tokens hold at most a product of two whole leaves
+_leaves = [
+    "preset:trivial", "preset:semion", "preset:ising", "preset:fibonacci",
+    "preset:toric_code", "su2:2", "double:Z_2", "tdouble:2:1", "su2:0",
+    "preset:nope"]
+_specs = st.one_of(
+    st.sampled_from(_leaves),
+    st.sampled_from(_leaves).map("rev({})".format),
+    st.tuples(st.sampled_from(_leaves), st.sampled_from(_leaves)).map(
+        lambda ab: "prod({},{})".format(*ab)),
+    st.lists(st.sampled_from(_leaves + [
+        "su2", "double", "tdouble", "preset", "Z_2", "S3", "ising", "0",
+        "1", "2", "3", "prod(", "rev(", ",", ")", ":"]),
+        max_size=6).map("".join))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["build", "validate", "fusion", "witt", "anisotropy"]),
+       _specs)
+def test_fuzzed_specs_end_cleanly(command, spec):
+    code, _, err = mdk(command, spec)
+    assert_clean_exit(code, err)
