@@ -221,23 +221,23 @@ def _candidate_vectors(md: ModularData, lo: float, hi: float):
     suffix = [0.0] * (len(live) + 1)
     for k in range(len(live) - 1, -1, -1):
         suffix[k] = suffix[k + 1] + bounds[k] * d[live[k]]
-    vec = np.zeros(md.rank, dtype=np.int64)
+    vec = [0] * md.rank
     vec[0] = 1
     budget = _Budget("candidate search", _CANDIDATE_NODE_CAP)
-
-    def walk(k: int, acc: float):
+    # frames (depth, running sum, n one level up), pushed 0..bound: popped down
+    stack = [(0, 1.0, None)]
+    while stack:
+        k, acc, n = stack.pop()
         budget.spend()
+        if k:
+            vec[live[k - 1]] = n
         if acc > hi or acc + suffix[k] < lo:
-            return
+            continue
         if k == len(live):
-            yield tuple(vec.tolist())
-            return
-        i = live[k]
-        for n in range(bounds[k], -1, -1):
-            vec[i] = n
-            yield from walk(k + 1, acc + n * d[i])
-
-    return walk(0, 1.0)
+            yield tuple(vec)
+            continue
+        di = d[live[k]]
+        stack.extend((k + 1, acc + m * di, m) for m in range(bounds[k] + 1))
 
 
 def witt_invariants(md: ModularData) -> WittInvariants:

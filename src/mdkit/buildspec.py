@@ -215,8 +215,7 @@ def _built_in(spec: BuildSpec) -> bool:
     return isinstance(spec, (Preset, Su2, TDouble))
 
 
-def evaluate(spec: BuildSpec, eps: float | None = None,
-             force: bool = False) -> ModularData:
+def evaluate(spec: BuildSpec, eps: float | None = None) -> ModularData:
     """Build the modular data a spec names.
 
     File lookups happen here, not at parse time, and files are read on
@@ -225,30 +224,30 @@ def evaluate(spec: BuildSpec, eps: float | None = None,
     eps; each call still returns a new object, validated afresh.  `eps`
     becomes the tolerance of the result (a product takes the larger of its
     factors'), which every analysis of it reads; it must be a finite
-    number > 0 (ToleranceError otherwise).  `force` lets a non-validating
-    file document through.
+    number > 0 (ToleranceError otherwise).  A file document is parsed
+    here but, like every other leaf, validated at first use.
     """
     if eps is not None:
         eps = checked_eps(eps)
     if isinstance(spec, Prod):
-        return deligne_product(evaluate(spec.left, eps=eps, force=force),
-                               evaluate(spec.right, eps=eps, force=force))
+        return deligne_product(evaluate(spec.left, eps=eps),
+                               evaluate(spec.right, eps=eps))
     if isinstance(spec, Rev):
-        return reverse(evaluate(spec.inner, eps=eps, force=force))
+        return reverse(evaluate(spec.inner, eps=eps))
     if not _built_in(spec):
-        return _build(spec, eps, force)
+        return _build(spec, eps)
     # the eps is part of the key: construction checks against it too
     eps = default_eps() if eps is None else eps
     hit = _BUILT.get((spec, eps))
     if hit is None:
-        md = _build(spec, eps, force)
+        md = _build(spec, eps)
         _BUILT[spec, eps] = md.S, md.T, md.labels
         return md
     S, T, labels = hit
     return ModularData(S, T, labels=labels, eps=eps)
 
 
-def _build(spec: BuildSpec, eps: float | None, force: bool) -> ModularData:
+def _build(spec: BuildSpec, eps: float | None) -> ModularData:
     """Construct one leaf from scratch."""
     if isinstance(spec, Preset):
         return preset(spec.name, eps=eps)
@@ -262,5 +261,5 @@ def _build(spec: BuildSpec, eps: float | None, force: bool) -> ModularData:
         group, q, labels = load_pointed_doc(_slurp(spec.path))
         return pointed(group, q, labels=labels, eps=eps)
     if isinstance(spec, File):
-        return load_modular_data(_slurp(spec.path), force=force, eps=eps)
+        return load_modular_data(_slurp(spec.path), eps=eps)
     raise TypeError(f"not a build spec: {spec!r}")

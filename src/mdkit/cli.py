@@ -45,8 +45,7 @@ def _eps_arg(text: str) -> float:
 
 
 def _build_data(args, attr="spec"):
-    return evaluate(parse_spec(getattr(args, attr)), eps=args.eps,
-                    force=args.force)
+    return evaluate(parse_spec(getattr(args, attr)), eps=args.eps)
 
 
 def _twist_str(z: complex) -> str:
@@ -69,6 +68,8 @@ def _charge_str(md) -> str:
 
 def _cmd_build(args) -> int:
     md = _build_data(args)
+    if not args.force:
+        md.require_valid()
     doc = dump_modular_data(md)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -93,8 +94,7 @@ def _check_rows(checks):
 
 
 def _cmd_validate(args) -> int:
-    md = evaluate(parse_spec(args.spec), eps=args.eps, force=True)
-    report = validate(md)
+    report = validate(_build_data(args))
     if args.format == "json":
         print(json.dumps({"ok": report.ok,
                           "checks": _check_rows(report.checks)}))
@@ -244,8 +244,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="tolerance override (beats MDK_EPS)")
     common.add_argument("--format", choices=["table", "json"],
                         default="table")
-    common.add_argument("--force", action="store_true",
-                        help="load data files even if they fail validation")
 
     p = argparse.ArgumentParser(
         prog="mdk", description="Modular tensor category data toolkit")
@@ -255,6 +253,8 @@ def _parser() -> argparse.ArgumentParser:
                        help="construct data from a build spec")
     b.add_argument("spec")
     b.add_argument("-o", "--output", default=None)
+    b.add_argument("--force", action="store_true",
+                   help="emit the data even if it fails validation")
     b.set_defaults(func=_cmd_build)
 
     v = sub.add_parser("validate", parents=[common],

@@ -57,7 +57,8 @@ class NonRationalChargeError(MdkError):
 
 
 class ValidationFailedError(MdkError):
-    """Modular data failed its axiom checks and --force was not given."""
+    """Modular data failed its axiom checks, found at first use; ``report``
+    is the :class:`ValidationReport`."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import MdkError, SearchBudgetError, _Budget
 from .modular_data import ModularData
-from .numeric import _mix, rationalize, rref
+from .numeric import _mix, check_bytes, rationalize, rref
 
 __all__ = [
     "CommutantBasis", "ModularInvariant", "commutant_basis",
@@ -112,10 +112,6 @@ class ModularInvariant:
 # visits before the invariant falls through to "other".
 _NODE_CAP = 10 ** 8
 _GRAM_NODE_CAP = 100_000
-# Estimated bytes of one commutant solve (sketched system and SVD factors)
-# past which commutant_basis refuses.  The rank-128 commutant of
-# prod(double:S3,double:Z_4) estimates 0.85 GB and peaks at 1.15 GB RSS.
-_COMMUTANT_BYTES_CAP = 1_500_000_000
 
 
 def _test_matrix(n: int, k: int) -> np.ndarray:
@@ -151,7 +147,7 @@ def commutant_basis(left: ModularData,
     pass, the float basis is kept and ``rationalized`` is False; if the
     float rows fail too while k < rL, V was not generic enough and the
     solve is repeated with k doubled.  Raises MdkError when the
-    estimated memory of a solve is past ``_COMMUTANT_BYTES_CAP``.
+    estimated memory of a solve is past ``numeric._BYTES_CAP``.
     """
     if right is None:
         right = left
@@ -204,10 +200,7 @@ def _sketched_null_space(SL, SR, V, js, is_):
     rows = 2 * rR * k
     # the system, the LAPACK copy of it and U, then Vt and workspace
     need = 8 * (3 * rows * P + 4 * P * P)
-    if need > _COMMUTANT_BYTES_CAP:
-        raise MdkError(
-            f"commutant solve of a {rows} x {P} system needs about "
-            f"{need / 1e6:,.0f} MB, past the {_COMMUTANT_BYTES_CAP / 1e6:,.0f} MB cap")
+    check_bytes(need, f"commutant solve of a {rows} x {P} system")
     M = np.zeros((2, rR, k, P))
     SLV = SL @ V
     p = np.arange(P)

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import (DimensionMismatchError, MdkError, NonIntegralError,
                      NonRationalChargeError, ValidationFailedError)
 from .numeric import (CHARGE_DENOMINATOR_CAP, INTEGER_EPS, TWIST_ORDER_CAP,
-                      checked_eps, default_eps, permutation_from_matrix,
-                      phase_fraction, unit_root)
+                      check_bytes, checked_eps, default_eps,
+                      permutation_from_matrix, phase_fraction, unit_root)
 
 __all__ = [
     "ModularData", "FusionRing", "Check", "ValidationReport", "validate",
@@ -235,7 +235,7 @@ def verlinde_fusion(md: ModularData) -> FusionRing:
     nonnegative integer.  The sum is one complex matrix product of shape
     (n^2, n) x (n, n), and the ring axioms are then checked exactly on the
     integer tensor (see :func:`_check_ring`).  Cost: O(n^5) flops, all in
-    BLAS, and O(n^3) memory.
+    BLAS, and a peak of 48 n^3 bytes, checked before anything is allocated.
 
     Raises
     ------
@@ -243,11 +243,14 @@ def verlinde_fusion(md: ModularData) -> FusionRing:
         If some coefficient is not integral (carries the worst (i, j, k)
         and its residual) or rounds to a negative value.
     MdkError
-        If the rounded tensor violates a fusion-ring identity.
+        If the rounded tensor violates a fusion-ring identity, or if the
+        estimated memory is past ``numeric._BYTES_CAP``.
     """
     md.require_valid()
-    S = md.S
     n = md.rank
+    # peak: the complex tensor, its rounded real part, their difference, |that|
+    check_bytes(48 * n ** 3, f"Verlinde fusion at rank {n}")
+    S = md.S
     raw = ((S[:, None, :] * S[None, :, :]) / S[0]).reshape(n * n, n) @ S.conj().T
     raw = raw.reshape(n, n, n)
     rounded = np.round(raw.real)

@@ -16,12 +16,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonIntegralError, ToleranceError
+from .errors import MdkError, NonIntegralError, ToleranceError
 
 DEFAULT_EPS = 1e-9
 INTEGER_EPS = 1e-6
 CHARGE_DENOMINATOR_CAP = 240
 TWIST_ORDER_CAP = 10080
+# Estimated bytes past which a dense solve (Verlinde tensor, commutant
+# system and SVD) is refused before allocating.  The rank-128 commutant of
+# prod(double:S3,double:Z_4) estimates 0.85 GB and peaks at 1.15 GB RSS.
+_BYTES_CAP = 1_500_000_000
 
 
 def checked_eps(value, what: str = "eps") -> float:
@@ -37,6 +41,13 @@ def checked_eps(value, what: str = "eps") -> float:
     if not (math.isfinite(eps) and eps > 0):
         raise ToleranceError(f"{what} must be a finite number > 0, got {value!r}")
     return eps
+
+
+def check_bytes(need: int, what: str) -> None:
+    """MdkError naming the estimate if ``need`` bytes pass ``_BYTES_CAP``."""
+    if need > _BYTES_CAP:
+        raise MdkError(f"{what} needs about {need / 1e6:,.0f} MB, past the "
+                       f"{_BYTES_CAP / 1e6:,.0f} MB cap")
 
 
 def default_eps() -> float:

@@ -13,8 +13,9 @@ import os
 
 import numpy as np
 
-from .errors import MdkError, ValidationFailedError
-from .groups import FiniteGroup, group_from_table, group_preset
+from .errors import MdkError
+from .groups import (GROUP_PRESETS, FiniteGroup, group_from_table,
+                     group_preset)
 from .modular_data import ModularData
 
 __all__ = [
@@ -74,12 +75,13 @@ def _check_labels(labels, n: int) -> None:
         raise MdkError(f"labels must be {n} strings")
 
 
-def load_modular_data(text: str, force: bool = False,
-                      eps: float | None = None) -> ModularData:
+def load_modular_data(text: str, *, eps: float | None = None) -> ModularData:
     """Parse an interchange document.
 
-    The document fails hard unless it validates; force=True skips that
-    gate (the axioms can still be checked later via validate).
+    Fields, shapes, number types, labels and eps are checked here
+    (MdkError).  The axioms are not: like the output of every
+    constructor, the data is validated at first use, and each analysis
+    raises ValidationFailedError on data that fails.
     """
     doc = _parse_json(text)
     if not isinstance(doc, dict):
@@ -105,15 +107,7 @@ def load_modular_data(text: str, force: bool = False,
         eps = doc.get("eps")
         if eps is not None and type(eps) not in (int, float):
             raise MdkError(f"eps must be a number, got {eps!r}")
-    md = ModularData(S, T, labels=labels, eps=eps)
-    if not force:
-        report = md.validation()
-        if not report.ok:
-            bad = ", ".join(c.name for c in report.checks if not c.passed)
-            raise ValidationFailedError(
-                f"document fails validation ({bad}); pass force to load "
-                f"anyway", report=report)
-    return md
+    return ModularData(S, T, labels=labels, eps=eps)
 
 
 def dump_group(g: FiniteGroup) -> str:
@@ -140,7 +134,6 @@ def resolve_group(name_or_path: str) -> FiniteGroup:
     """A group from "preset:<name>", a bare preset name, or a JSON file."""
     if name_or_path.startswith("preset:"):
         return group_preset(name_or_path[len("preset:"):])
-    from .groups import GROUP_PRESETS
     if name_or_path in GROUP_PRESETS:
         return group_preset(name_or_path)
     if not os.path.exists(name_or_path):
@@ -185,9 +178,5 @@ def load_pointed_doc(text: str):
 
 def invariants_doc(invs) -> str:
     """Solver output: {"count": k, "invariants": [{"Z": ..., "kind": ...}]}."""
-    items = []
-    for inv in invs:
-        z = "[%s]" % ", ".join(
-            "[%s]" % ", ".join(str(int(v)) for v in row) for row in inv.Z)
-        items.append('{"Z": %s, "kind": %s}' % (z, json.dumps(inv.kind)))
-    return '{"count": %d, "invariants": [%s]}\n' % (len(items), ", ".join(items))
+    items = [{"Z": inv.Z.tolist(), "kind": inv.kind} for inv in invs]
+    return json.dumps({"count": len(items), "invariants": items}) + "\n"

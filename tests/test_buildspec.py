@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdkit import (MdkError, PRESETS, SpecParseError, UnknownPresetError,
-                   ValidationFailedError, buildspec, cyclic, default_eps,
-                   drinfeld_double, dump_group, dump_modular_data,
+                   ValidationFailedError, buildspec, commutant_basis, cyclic,
+                   default_eps, drinfeld_double, dump_group, dump_modular_data,
                    equivalent_up_to_relabeling, evaluate, group_preset,
                    load_modular_data, parse_spec, preset, render, su2_level,
-                   twisted_double_cyclic)
+                   twisted_double_cyclic, verlinde_fusion)
 from mdkit.buildspec import (Double, File, Pointed, Preset, Prod, Rev, Su2,
                              TDouble)
 
@@ -113,19 +113,19 @@ def test_dump_is_deterministic():
     assert doc["labels"] == ["1", "psi", "sigma"]
 
 
-def test_load_rejects_invalid_without_force(tmp_path):
+def test_load_defers_validation_to_first_use(tmp_path):
     doc = json.loads(dump_modular_data(preset("toric_code")))
     doc["T"][0] = {"re": -1.0, "im": 0.0}
     text = json.dumps(doc)
-    with pytest.raises(ValidationFailedError):
-        load_modular_data(text)
-    md = load_modular_data(text, force=True)
-    assert md.T[0] == -1.0
     path = tmp_path / "broken.json"
     path.write_text(text)
-    with pytest.raises(MdkError):
-        evaluate(parse_spec(str(path)))
-    assert evaluate(parse_spec(str(path)), force=True).rank == 4
+    for md in (load_modular_data(text), evaluate(parse_spec(str(path)))):
+        assert md.rank == 4 and md.T[0] == -1.0
+        assert not md.validation().ok
+        with pytest.raises(ValidationFailedError, match="t_unit"):
+            verlinde_fusion(md)
+        with pytest.raises(ValidationFailedError, match="t_unit"):
+            commutant_basis(md)
 
 
 def test_evaluate_missing_file():

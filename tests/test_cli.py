@@ -55,12 +55,35 @@ def test_validate_reports_failure(tmp_path):
     code, out, err = mdk("validate", str(path))
     assert code == 1
     assert "FAIL" in out
-    # consumers refuse the file without --force
+    # consumers refuse the file
     code, out, err = mdk("fusion", str(path))
     assert code == 1
     assert "error:" in err
-    code, out, err = mdk("fusion", str(path), "--force")
-    assert code == 1  # still not a fusion ring, but the gate is explicit
+
+
+def test_build_refuses_invalid_file_unless_forced(tmp_path):
+    doc = json.loads(dump_modular_data(preset("toric_code")))
+    doc["T"][3] = {"re": 0.6, "im": 0.8}
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = mdk("build", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "t_roots_of_unity" in err
+    code, out, err = mdk("build", str(path), "--force", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out) == doc
+
+
+def test_build_refuses_invalid_constructed_data_unless_forced(tmp_path):
+    # at eps 1e-18 the floating-point residuals of su2:3 fail the checks
+    code, out, err = mdk("build", "su2:3", "--eps", "1e-18")
+    assert code == 1 and out == "" and err.startswith("error:")
+    code, out, err = mdk("build", "su2:3", "--eps", "1e-18", "--force")
+    assert code == 0, err
+    assert out.startswith("rank 4")
+    path = tmp_path / "su2_3.json"
+    code, out, err = mdk("build", "su2:3", "--eps", "1e-18", "-o", str(path))
+    assert code == 1 and not path.exists()
 
 
 def test_invariants_json_counts():
@@ -109,6 +132,8 @@ def test_invariants_table_builds_the_commutant_once(monkeypatch):
     ("invariants", "su2:4", "su2:4", "--node-cap", "5"),
     ("algebra", "from-invariant", "su2:4", "su2:4", "--index", "0",
      "--node-cap", "5"),
+    ("fusion", "preset:toric_code", "--force"),
+    ("validate", "preset:ising", "--force"),
 ])
 def test_usage_errors_exit_2(argv):
     code, out, err = mdk(*argv)

@@ -10,7 +10,7 @@ from mdkit import (IncompleteEnumerationError, ModularData, ModularInvariant,
                    classify_invariant, commutant_basis, enumerate_invariants,
                    MdkError, evaluate, parse_spec, preset, reverse,
                    su2_level)
-from mdkit import invariants
+from mdkit import invariants, numeric
 from mdkit.invariants import _classify, _coordinate_search
 
 
@@ -373,6 +373,6 @@ def test_sketch_matrix_is_fixed_and_full_rank():
 
 def test_oversized_commutant_is_refused_before_allocating(monkeypatch):
     md = build("tdouble:7:3")
-    monkeypatch.setattr(invariants, "_COMMUTANT_BYTES_CAP", 10 ** 6)
+    monkeypatch.setattr(numeric, "_BYTES_CAP", 10 ** 6)
     with pytest.raises(MdkError, match=r"needs about [\d,]+ MB, past the 1 MB cap"):
         commutant_basis(md)

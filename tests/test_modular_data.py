@@ -16,6 +16,7 @@ from mdkit import (DimensionMismatchError, MdkError, ModularData,
                    charge_conjugation, cyclic, deligne_product, evaluate,
                    gauss_sum, parse_spec, pointed, preset, reverse, unit_root,
                    validate, verlinde_fusion)
+from mdkit import numeric
 from mdkit.modular_data import _check_ring
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -305,3 +306,11 @@ def test_charge_conjugation_pointed_z3():
 def test_charge_conjugation_self_dual():
     assert charge_conjugation(preset("fibonacci")) == [0, 1]
     assert charge_conjugation(toric()) == [0, 1, 2, 3]
+
+
+def test_oversized_fusion_is_refused_before_allocating(monkeypatch):
+    monkeypatch.setattr(numeric, "_BYTES_CAP", 10 ** 6)
+    assert verlinde_fusion(evaluate(parse_spec("tdouble:3:0"))).rank == 9
+    with pytest.raises(MdkError, match=r"Verlinde fusion at rank 36 needs "
+                                       r"about 2 MB, past the 1 MB cap"):
+        verlinde_fusion(evaluate(parse_spec("tdouble:6:1")))
