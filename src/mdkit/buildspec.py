@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MdkError, SpecParseError, UnknownPresetError
+from .errors import SpecParseError, UnknownPresetError
 from .constructors import (PRESETS, drinfeld_double, pointed, preset,
                            su2_level, twisted_double_cyclic)
 from .groups import GROUP_PRESETS
