@@ -85,13 +85,13 @@ def group_from_table(table) -> FiniteGroup:
         bad = int(np.argmax((t[0] != idx) | (t[:, 0] != idx)))
         raise NotAGroupError(f"element 0 is not a two-sided identity (seen at {bad})",
                              axiom="identity", witness=bad)
-    # associativity: (ab)c == a(bc), checked on all n^3 triples at once
-    left = t[t, :]
-    right = t[np.arange(n)[:, None, None], t[None, :, :]]
-    if not np.array_equal(left, right):
-        a, b, c = (int(x) for x in np.argwhere(left != right)[0])
-        raise NotAGroupError(f"associativity fails at ({a}, {b}, {c})",
-                             axiom="associativity", witness=(a, b, c))
+    # associativity: (ab)c == a(bc), one row a at a time, O(n^2) memory
+    for a in range(n):
+        left, right = t[t[a]], t[a][t]  # [b, c]
+        if not np.array_equal(left, right):
+            b, c = (int(x) for x in np.argwhere(left != right)[0])
+            raise NotAGroupError(f"associativity fails at ({a}, {b}, {c})",
+                                 axiom="associativity", witness=(a, b, c))
     is_unit = t == 0
     inv = is_unit.argmax(axis=1)
     bad = (is_unit.sum(axis=1) != 1) | (t[inv, idx] != 0)

@@ -151,9 +151,15 @@ def validate(md: ModularData) -> ValidationReport:
     the S_{00} = 1/sqrt(dim) normalization, T_0 = 1 (exact), twists being
     bounded-order roots of unity, S^2 equal to a permutation (charge
     conjugation), and the (S diag(T))^3 = e^{2 pi i c/8} S^2 relation with
-    the phase taken from the Gauss sum.
+    the phase taken from the Gauss sum.  Peak memory is about 80 n^2
+    bytes (the S of a Deligne product is formed here, on first use), and
+    an estimate past ``numeric._BYTES_CAP`` raises MdkError before S is
+    read.
     """
-    S, T, eps, n = md.S, md.T, md.eps, md.rank
+    n = md.rank
+    # S, conj(S), S S^H, the identity, their difference and its modulus
+    check_bytes(80 * n ** 2, f"validation at rank {n}")
+    S, T, eps = md.S, md.T, md.eps
     checks = []
 
     r = np.abs(S @ S.conj().T - np.eye(n)).max()

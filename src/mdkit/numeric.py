@@ -23,8 +23,9 @@ INTEGER_EPS = 1e-6
 CHARGE_DENOMINATOR_CAP = 240
 TWIST_ORDER_CAP = 10080
 # Estimated bytes past which a dense solve (Verlinde tensor, commutant
-# system and SVD) is refused before allocating.  The rank-128 commutant of
-# prod(double:S3,double:Z_4) estimates 0.85 GB and peaks at 1.15 GB RSS.
+# eigensolve, axiom checks) is refused before allocating.  The rank-128
+# commutant of prod(double:S3,double:Z_4) estimates 0.41 GB and peaks at
+# 0.43 GB RSS.
 _BYTES_CAP = 1_500_000_000
 
 
@@ -32,11 +33,12 @@ def checked_eps(value, what: str = "eps") -> float:
     """``value`` as a float tolerance.
 
     Raises ToleranceError unless it converts to a finite float > 0: under
-    NaN every check compares false, and under inf every check passes.
+    NaN every check compares false, and under inf every check passes.  An
+    integer past the double range is refused too.
     """
     try:
         eps = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         eps = math.nan
     if not (math.isfinite(eps) and eps > 0):
         raise ToleranceError(f"{what} must be a finite number > 0, got {value!r}")

@@ -62,9 +62,11 @@ def _reject_constant(name: str):
 
 
 def _parse_json(text: str):
+    # ValueError covers a syntax error (JSONDecodeError) and an integer
+    # past the interpreter's digit limit; RecursionError, deep nesting
     try:
         return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MdkError(f"not valid JSON: {exc}") from None
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mdkit import (MdkError, PRESETS, SpecParseError, UnknownPresetError,
+from mdkit import (MdkError, PRESETS, SpecParseError, ToleranceError,
+                   UnknownPresetError,
                    ValidationFailedError, buildspec, commutant_basis, cyclic,
                    default_eps, drinfeld_double, dump_group, dump_modular_data,
                    equivalent_up_to_relabeling, evaluate, group_preset,
@@ -232,11 +233,12 @@ def test_construction_errors_are_not_cached(monkeypatch):
         evaluate(node)
 
 
-@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0, 0.0, "abc"])
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0, 0.0, "abc",
+                                 pytest.param(10 ** 400, id="int-past-double")])
 def test_bad_eps_is_refused_before_the_cache(eps, monkeypatch):
     monkeypatch.setattr(buildspec, "_BUILT", {})
     for text in ("su2:3", "prod(su2:3,preset:ising)"):
-        with pytest.raises(MdkError, match="eps must be a finite number > 0"):
+        with pytest.raises(ToleranceError, match="eps must be a finite number > 0"):
             evaluate(parse_spec(text), eps=eps)
     assert buildspec._BUILT == {}
     # the constructors check it too, so no data carries a bad tolerance

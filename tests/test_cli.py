@@ -354,6 +354,8 @@ def test_numeric_failures_exit_1(exc, monkeypatch):
     ("pointed:", {"group": "Z_2",
                   "q": [{"re": True, "im": 0}, {"re": 0, "im": 1}]}),
     ("double:", {"order": True, "table": [[0]]}),
+    # a tolerance past the double range
+    ("", {**SEMION_DOC, "eps": 10 ** 400}),
 ])
 def test_malformed_input_files_exit_1(prefix, doc, tmp_path):
     path = tmp_path / "doc.json"
@@ -363,7 +365,7 @@ def test_malformed_input_files_exit_1(prefix, doc, tmp_path):
         path.write_text(json.dumps(doc))
     code, out, err = mdk("build", prefix + str(path))
     assert code == 1
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
     if doc and "eps" in doc:
         assert err.startswith("error: eps must be")

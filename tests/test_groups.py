@@ -1,5 +1,7 @@
 """Tests for finite groups and character tables."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,30 @@ def test_group_from_table_rejects_broken_tables():
         group_from_table([[0, 1], [1, 1]])
     assert exc.value.axiom == "inverse"
     assert exc.value.witness == 1
+
+
+def test_associativity_witness_is_the_first_failing_triple():
+    loop = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1],
+                     [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]])
+    first = next((a, b, c) for a in range(5) for b in range(5)
+                 for c in range(5) if loop[loop[a, b], c] != loop[a, loop[b, c]])
+    with pytest.raises(NotAGroupError, match=r"associativity fails at "
+                                             r"\(1, 1, 2\)") as exc:
+        group_from_table(loop)
+    assert exc.value.witness == first == (1, 1, 2)
+
+
+def test_group_axioms_are_checked_in_quadratic_memory():
+    # the n^3 triples of order 300 would take 216 MB as one int64 tensor
+    idx = np.arange(300)
+    table = (idx[:, None] + idx[None, :]) % 300
+    tracemalloc.start()
+    try:
+        assert group_from_table(table).order == 300
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 10 ** 6
 
 
 def test_direct_product():

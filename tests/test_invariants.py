@@ -10,7 +10,7 @@ from mdkit import (IncompleteEnumerationError, ModularData, ModularInvariant,
                    classify_invariant, commutant_basis, enumerate_invariants,
                    MdkError, evaluate, parse_spec, preset, reverse,
                    su2_level)
-from mdkit import invariants, numeric
+from mdkit import numeric
 from mdkit.invariants import _classify, _coordinate_search
 
 
@@ -343,36 +343,46 @@ def test_commutant_matches_pinned_digest(spec, digest):
     assert h.hexdigest()[:24] == digest
 
 
-@pytest.mark.parametrize("spec", ["double:S3", "prod(double:S3,double:Z_2)"])
-def test_too_narrow_sketch_is_widened(spec, monkeypatch):
-    md = build(spec)
-    want = commutant_basis(md)
-    widths = []
-    real = invariants._test_matrix
-
-    def narrow_first(n, k):
-        widths.append(1 if not widths else k)
-        return real(n, widths[-1])
-
-    monkeypatch.setattr(invariants, "_test_matrix", narrow_first)
-    got = commutant_basis(md)
-    # one column leaves spurious null vectors that fail the full relation
-    assert widths[:3] == [1, 2, 4]
-    assert got.rationalized and got.denominator == want.denominator
-    assert got.positions == want.positions and got.pivots == want.pivots
-    assert got.coords.tobytes() == want.coords.tobytes()
+def _reference_null_space(left, right):
+    """T-allowed positions, and the null space over them of all 2 rR rL
+    real equations Z S_L = S_R Z, by SVD."""
+    positions = [(j, i) for j in range(right.rank) for i in range(left.rank)
+                 if abs(right.T[j] - left.T[i]) < 1e-9]
+    # column p: the entries of Z S_L - S_R Z per unit of Z[j, i]
+    M = np.zeros((right.rank, left.rank, len(positions)), complex)
+    for p, (j, i) in enumerate(positions):
+        M[j, :, p] += left.S[i]
+        M[:, i, p] -= right.S[:, j]
+    M = np.concatenate([M.real, M.imag]).reshape(-1, len(positions))
+    _, sv, vt = np.linalg.svd(M)
+    return tuple(positions), vt[int((sv > 1e-8 * sv[0]).sum()):]
 
 
-def test_sketch_matrix_is_fixed_and_full_rank():
-    V = invariants._test_matrix(40, 7)
-    assert V.shape == (40, 7) and np.abs(V).max() < 1
-    assert V.tobytes() == invariants._test_matrix(40, 7).tobytes()
-    assert np.linalg.matrix_rank(V) == 7
-    assert (invariants._test_matrix(5, 9) == np.eye(5)).all()
+def _relabeled(md, perm):
+    perm = np.asarray(perm)
+    return ModularData(md.S[np.ix_(perm, perm)], md.T[perm], eps=md.eps)
+
+
+@pytest.mark.parametrize("left, right, dim, count", [
+    # ranks 3 and 12: a j/i transposition in the gather would show here
+    (build("su2:2"), build("prod(su2:2,preset:toric_code)"), 3, 3),
+    (build("double:S3"), _relabeled(build("double:S3"), [0, 3, 7, 1, 5, 2, 6, 4]),
+     11, 48),
+])
+def test_commutant_matches_full_system_null_space(left, right, dim, count):
+    positions, null = _reference_null_space(left, right)
+    cb = commutant_basis(left, right)
+    assert cb.rationalized and cb.positions == positions
+    assert cb.dimension == null.shape[0] == dim
+    # the same row space: every reference row is a combination of the basis
+    B = cb.coords / cb.denominator
+    coef = np.linalg.lstsq(B.T, null.T, rcond=None)[0]
+    assert np.abs(B.T @ coef - null.T).max() < 1e-9
+    assert len(enumerate_invariants(left, right)) == count
 
 
 def test_oversized_commutant_is_refused_before_allocating(monkeypatch):
-    md = build("tdouble:7:3")
+    md = build("prod(double:S3,double:Z_2)")
     monkeypatch.setattr(numeric, "_BYTES_CAP", 10 ** 6)
     with pytest.raises(MdkError, match=r"needs about [\d,]+ MB, past the 1 MB cap"):
         commutant_basis(md)

@@ -314,3 +314,15 @@ def test_oversized_fusion_is_refused_before_allocating(monkeypatch):
     with pytest.raises(MdkError, match=r"Verlinde fusion at rank 36 needs "
                                        r"about 2 MB, past the 1 MB cap"):
         verlinde_fusion(evaluate(parse_spec("tdouble:6:1")))
+
+
+def test_oversized_validation_is_refused_before_forming_s(monkeypatch):
+    monkeypatch.setattr(numeric, "_BYTES_CAP", 10 ** 6)
+    small = evaluate(parse_spec("prod(double:Z_3,double:Z_3)"))
+    assert validate(small).ok
+    # rank 144: 80 n^2 bytes is about 2 MB, and S is never formed
+    big = evaluate(parse_spec("prod(double:Z_4,double:Z_3)"))
+    with pytest.raises(MdkError, match=r"validation at rank 144 needs about "
+                                       r"2 MB, past the 1 MB cap"):
+        central_charge(big)
+    assert "S" not in vars(big)
