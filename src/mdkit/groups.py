@@ -105,7 +105,7 @@ def group_from_table(table) -> FiniteGroup:
     for a in range(n):
         if seen[a]:
             continue
-        orbit = np.unique(t[t[idx, a], inv[idx]])
+        orbit = np.flatnonzero(np.bincount(t[t[idx, a], inv[idx]], minlength=n))
         seen[orbit] = True
         classes.append(tuple(int(x) for x in orbit))
     classes.sort(key=lambda c: c[0])

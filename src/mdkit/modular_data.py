@@ -22,7 +22,8 @@ from .errors import (DimensionMismatchError, MdkError, NonIntegralError,
                      NonRationalChargeError, ValidationFailedError)
 from .numeric import (CHARGE_DENOMINATOR_CAP, INTEGER_EPS, TWIST_ORDER_CAP,
                       check_bytes, checked_eps, default_eps,
-                      permutation_from_matrix, phase_fraction, unit_root)
+                      _best_rational, _phase_root, permutation_from_matrix,
+                      unit_root)
 
 __all__ = [
     "ModularData", "FusionRing", "Check", "ValidationReport", "validate",
@@ -151,10 +152,12 @@ def validate(md: ModularData) -> ValidationReport:
     the S_{00} = 1/sqrt(dim) normalization, T_0 = 1 (exact), twists being
     bounded-order roots of unity, S^2 equal to a permutation (charge
     conjugation), and the (S diag(T))^3 = e^{2 pi i c/8} S^2 relation with
-    the phase taken from the Gauss sum.  Peak memory is about 80 n^2
-    bytes (the S of a Deligne product is formed here, on first use), and
-    an estimate past ``numeric._BYTES_CAP`` raises MdkError before S is
-    read.
+    the phase taken from the Gauss sum.  The root-of-unity check runs
+    once per distinct twist, in integer arithmetic with one ``cmath.exp``
+    each; the rest is a few O(n^3) matrix products.  Peak memory is
+    about 80 n^2 bytes (the S of a Deligne product is formed here, on
+    first use), and an estimate past ``numeric._BYTES_CAP`` raises
+    MdkError before S is read.
     """
     n = md.rank
     # S, conj(S), S S^H, the identity, their difference and its modulus
@@ -187,13 +190,12 @@ def validate(md: ModularData) -> ValidationReport:
     checks.append(Check("t_unit", r == 0.0, r))
 
     worst = 0.0
-    for t in np.unique(T):
-        frac = phase_fraction(complex(t), TWIST_ORDER_CAP, eps)
-        if frac is None or abs(abs(t) - 1) >= eps:
+    for t in dict.fromkeys(T.tolist()):
+        hit = _phase_root(t, TWIST_ORDER_CAP, eps)
+        if hit is None or abs(abs(t) - 1) >= eps:
             worst = math.inf
             break
-        root = unit_root(frac.numerator, frac.denominator)
-        worst = max(worst, float(abs(t - root)))
+        worst = max(worst, abs(t - hit[2]))
     checks.append(Check("t_roots_of_unity", worst < eps, worst))
 
     S2 = S @ S
@@ -345,13 +347,14 @@ def central_charge(md: ModularData) -> Fraction:
     """
     tau = gauss_sum(md, +1)
     raw = (cmath.phase(tau) / (2 * math.pi) * 8) % 8.0
-    c = Fraction(raw).limit_denominator(CHARGE_DENOMINATOR_CAP) % 8
-    phase = unit_root(c.numerator, 8 * c.denominator)
+    num, den = _best_rational(raw, CHARGE_DENOMINATOR_CAP)
+    num %= 8 * den
+    phase = unit_root(num, 8 * den)
     if abs(phase - tau / abs(tau)) > md.eps:
         raise NonRationalChargeError(
             f"no rational c with denominator <= {CHARGE_DENOMINATOR_CAP} matches "
             f"the Gauss-sum phase (raw angle {raw:.12g} in units of c)")
-    return c
+    return Fraction(num, den)
 
 
 def deligne_product(a: ModularData, b: ModularData) -> ModularData:

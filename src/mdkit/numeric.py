@@ -66,8 +66,7 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-_QUARTER_TURNS = {Fraction(0): 1 + 0j, Fraction(1, 4): 1j,
-                  Fraction(1, 2): -1 + 0j, Fraction(3, 4): -1j}
+_QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def unit_root(num: int, den: int) -> complex:
@@ -75,13 +74,41 @@ def unit_root(num: int, den: int) -> complex:
 
     Emitting exact 1, -1, i, -i keeps twist multisets and the unit twist
     bit-exact, which the validation layer's T_0 == 1 check relies on.
+    Cost: integer reduction of num/den mod 1 (``math.gcd``), then one
+    ``cmath.exp`` of the reduced pair unless it is a quarter turn.
     """
     if den <= 0:
         raise ValueError("denominator must be positive")
-    frac = Fraction(num, den) % 1
-    if frac in _QUARTER_TURNS:
-        return _QUARTER_TURNS[frac]
-    return cmath.exp(2j * cmath.pi * frac.numerator / frac.denominator)
+    g = math.gcd(num, den)
+    num, den = num % den // g, den // g
+    if 4 % den == 0:
+        return _QUARTER_TURNS[4 // den * num]
+    return cmath.exp(2j * cmath.pi * num / den)
+
+
+def _best_rational(x: float, max_den: int) -> tuple[int, int]:
+    """``Fraction(x).limit_denominator(max_den)`` as (numerator, denominator),
+    by CPython's continued-fraction walk in plain ints on x's exact ratio."""
+    if max_den < 1:
+        raise ValueError("max_den should be at least 1")
+    n, d = x.as_integer_ratio()
+    if d <= max_den:
+        return n, d
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    # p1/q1 and the semiconvergent lie 1/(q1 (q0 + k q1)) apart with x
+    # between them, d/(q1 den) from p1/q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
 
 
 def nearest_int(x, eps: float = INTEGER_EPS, what: str = "value", where=None) -> int:
@@ -100,14 +127,22 @@ def phase_fraction(z: complex, max_den: int, tol: float) -> Fraction | None:
 
     Returns t in [0, 1) or None if no bounded rational reproduces the phase
     within tol (measured on the unit circle, not on the angle), and None
-    for zero or a non-finite z.
+    for zero or a non-finite z.  The search runs in integer arithmetic
+    with one ``cmath.exp``; only the returned t is a Fraction.
     """
+    hit = _phase_root(z, max_den, tol)
+    return None if hit is None else Fraction(hit[0], hit[1])
+
+
+def _phase_root(z: complex, max_den: int, tol: float) -> tuple[int, int, complex] | None:
+    """(num, den, unit_root(num, den)) for :func:`phase_fraction`'s t, or None."""
     if z == 0 or not cmath.isfinite(z):
         return None
-    angle = cmath.phase(z) / (2 * math.pi) % 1.0
-    frac = Fraction(angle).limit_denominator(max_den) % 1
-    if abs(unit_root(frac.numerator, frac.denominator) - z / abs(z)) <= tol:
-        return frac
+    num, den = _best_rational(cmath.phase(z) / (2 * math.pi) % 1.0, max_den)
+    num %= den
+    root = unit_root(num, den)
+    if abs(root - z / abs(z)) <= tol:
+        return num, den, root
     return None
 
 
@@ -122,11 +157,11 @@ def permutation_from_matrix(m: np.ndarray, eps: float) -> list[int] | None:
     rounded = np.round(m.real)
     if np.abs(m - rounded).max() > eps:
         return None
-    if not np.array_equal(np.sort(np.unique(rounded)), np.array([0.0, 1.0])) and n > 1:
+    if not ((rounded == 0) | (rounded == 1)).all():
         return None
     if (rounded.sum(axis=0) != 1).any() or (rounded.sum(axis=1) != 1).any():
         return None
-    return [int(np.argmax(rounded[i])) for i in range(n)]
+    return rounded.argmax(axis=1).tolist()
 
 
 def rref(mat: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, list[int]]:
@@ -166,9 +201,9 @@ def rationalize(mat: np.ndarray, max_den: int, tol: float):
     """
     mat = np.asarray(mat, dtype=float)
     keys, index = np.unique(np.round(mat, 12), return_inverse=True)
-    fracs = [Fraction(float(x)).limit_denominator(max_den) for x in keys]
-    den = math.lcm(*(f.denominator for f in fracs))
-    nums = [f.numerator * (den // f.denominator) for f in fracs]
+    pairs = [_best_rational(x, max_den) for x in keys.tolist()]
+    den = math.lcm(*(q for _, q in pairs))
+    nums = [p * (den // q) for p, q in pairs]
     if max(den, *map(abs, nums)) >= 2 ** 63:
         return None
     ints = np.array(nums, dtype=np.int64)[index.reshape(mat.shape)]

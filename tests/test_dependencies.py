@@ -26,3 +26,23 @@ def test_no_runtime_dependency_beyond_numpy():
     assert "mdkit" in added
     allowed = set(sys.stdlib_module_names) | {"numpy", "mdkit"}
     assert sorted(added - allowed) == []
+
+
+MASKED_PROBE = """
+import contextlib, io, sys
+from mdkit import cli
+for argv in (["build", "double:S3"], ["validate", "su2:10"],
+             ["anisotropy", "tdouble:4:2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_do_not_import_numpy_ma():
+    # a plain np.unique asks np.ma.is_masked, which imports numpy.ma
+    # (10-20 ms) on its first call in a process
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", MASKED_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -317,16 +317,26 @@ def test_commutant_and_search_build_no_fraction_per_entry(monkeypatch):
             made.append(args)
             return super().__new__(cls, *args, **kwargs)
 
+    approximated = []
+    best_rational = numeric._best_rational
+
+    def counted_best_rational(x, max_den):
+        approximated.append(x)
+        return best_rational(x, max_den)
+
     md = build("double:S3")
     md.require_valid()
     monkeypatch.setattr("mdkit.numeric.Fraction", Counted)
     monkeypatch.setattr("mdkit.invariants.Fraction", Counted)
+    monkeypatch.setattr("mdkit.numeric._best_rational", counted_best_rational)
     cb = commutant_basis(md)
     assert len(enumerate_invariants(md)) == 48
     # the two commutant_basis calls (one here, one in the search) each
-    # approximate the 4 distinct values of the 11 x 28 echelon basis once
+    # approximate the 4 distinct values of the 11 x 28 echelon basis once,
+    # in integer arithmetic, so neither builds a Fraction
     assert cb.coords.shape == (11, 28)
-    assert len(made) == 2 * np.unique(cb.coords).size == 8
+    assert len(approximated) == 2 * np.unique(cb.coords).size == 8
+    assert made == []
 
 
 @pytest.mark.parametrize("spec, digest", [

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdkit import (DimensionMismatchError, MdkError, ModularData,
-                   NonIntegralError, ValidationFailedError, central_charge,
+from mdkit import (GROUP_PRESETS, PRESETS, DimensionMismatchError, MdkError,
+                   ModularData, NonIntegralError, ValidationFailedError,
+                   central_charge,
                    charge_conjugation, cyclic, deligne_product, evaluate,
                    gauss_sum, parse_spec, pointed, preset, reverse, unit_root,
                    validate, verlinde_fusion)
@@ -213,6 +214,35 @@ def test_verlinde_relabeling_covariance(spec, seed):
     moved = ModularData(md.S[np.ix_(p, p)], md.T[p], eps=md.eps)
     N = verlinde_fusion(md).N
     assert np.array_equal(verlinde_fusion(moved).N, N[np.ix_(p, p, p)])
+
+
+def test_validation_reports_and_charges_match_pinned_digests():
+    # Every report is hashed as (check, passed, repr(residual)), so a twist
+    # check that moves a last bit or flips a verdict changes the digest.
+    # The s_unitary, s2_permutation and st_cubed residuals come from BLAS
+    # products and were pinned with OpenBLAS on x86-64.
+    specs = ([f"preset:{p}" for p in PRESETS]
+             + [f"su2:{k}" for k in range(1, 33)]
+             + [f"double:{g}" for g in GROUP_PRESETS]
+             + [f"tdouble:{n}:{p}" for n in range(1, 9) for p in range(n)])
+    reports, charges = hashlib.sha256(), hashlib.sha256()
+    for spec in specs:
+        md = evaluate(parse_spec(spec))
+        j = np.arange(md.rank)
+        for eps in (1e-12, 1e-9, 1e-6, 1e-3, 0.5):
+            for delta in (0.0, 1e-12, 1e-7, 1e-4):
+                T = md.T * (1 + delta * (j % 2)) * np.exp(1j * delta * j)
+                x = ModularData(md.S, T, labels=md.labels, eps=eps)
+                key = (spec, eps, delta)
+                reports.update(repr((*key, [(c.name, c.passed, repr(c.residual))
+                                            for c in validate(x).checks])).encode())
+                try:
+                    c = repr(central_charge(x))
+                except MdkError as e:
+                    c = type(e).__name__
+                charges.update(repr((*key, c)).encode())
+    assert reports.hexdigest()[:24] == "920f3b0845f5333bd4dd8b58"
+    assert charges.hexdigest()[:24] == "de81e9190666d3d745221a74"
 
 
 def test_verlinde_rank49_matches_pinned_digest():
