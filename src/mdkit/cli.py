@@ -112,8 +112,7 @@ def _cmd_fusion(args) -> int:
     ring = verlinde_fusion(md)
     if args.format == "json":
         print(json.dumps({"rank": md.rank, "labels": list(md.labels),
-                          "N": [[[int(x) for x in row]
-                                 for row in plane] for plane in ring.N]}))
+                          "N": ring.N.tolist()}))
         return 0
     for i in range(md.rank):
         for j in range(i, md.rank):

@@ -223,8 +223,9 @@ class FusionRing:
     unit row ``N[0, j, k] = delta_{jk}``, commutativity in the lower
     indices, exact associativity on the integer tensor, and the dimension
     identity ``sum_k N[i, j, k] d_k = d_i d_j`` within eps.  The
-    associativity check runs one object at a time, so it needs O(n^3)
-    memory rather than an n^4 tensor.
+    associativity check tests one cyclic element against every N_i in
+    O(n^4) flops and O(n^3) memory, never an n^4 tensor (see
+    :func:`_check_ring`).
     """
     rank: int
     N: np.ndarray = field(repr=False)
@@ -242,8 +243,12 @@ def verlinde_fusion(md: ModularData) -> FusionRing:
     rounded after checking they sit within ``integer_eps`` (1e-6) of a
     nonnegative integer.  The sum is one complex matrix product of shape
     (n^2, n) x (n, n), and the ring axioms are then checked exactly on the
-    integer tensor (see :func:`_check_ring`).  Cost: O(n^5) flops, all in
-    BLAS, and a peak of 48 n^3 bytes, checked before anything is allocated.
+    integer tensor (see :func:`_check_ring`).  Cost: O(n^4) flops, almost
+    all in BLAS, and a peak of 48 n^3 bytes, checked before anything is
+    allocated.  The associativity check is certified by one cyclic
+    element; a ring where that certificate fails (only by an unlucky
+    choice of coefficients or prime, since Verlinde rings are semisimple)
+    falls back to an O(n^5) comparison in the same memory.
 
     Raises
     ------
@@ -293,25 +298,111 @@ def verlinde_fusion(md: ModularData) -> FusionRing:
 def _check_ring(N: np.ndarray) -> None:
     """Check the unit row, commutativity and associativity of an integer N.
 
-    Associativity, sum_m N_ij^m N_mk^l = sum_m N_jk^m N_im^l, is compared
-    one i at a time as two matrix products, for k >= i only: once
-    commutativity holds, the identity for (i, j, k) is the one for
-    (k, j, i) with its sides swapped.  The products run in float64 when
-    ``n * max(N)**2 < 2**53``: every partial sum is then an integer
-    float64 holds exactly, so the comparison stays exact.  Otherwise the
-    same products run in int64.
+    Write N_y for the matrix ``N[y]`` (rows j, columns l).  Once the
+    lower indices commute, associativity, sum_m N_ij^m N_mk^l = sum_m
+    N_jk^m N_im^l, says exactly N_i N_k = N_k N_i for all i, k.  That is
+    checked in O(n^4) flops by one element, X = sum_i c_i N_i, with fixed
+    coefficients c_i in [1, 2^20] taken from a splitmix64 hash of i:
+
+    1. If the N_y commute, so does X with each of them.  X N_y = N_y X
+       is therefore checked for every y, as two float64 products of shape
+       (n x n) x (n x n^2), and a mismatch proves that associativity
+       fails.  All sums stay below ``n^2 * 2^20 * max|N|^2 < 2^53``, so
+       float64 holds them exactly.
+    2. Conversely, if X is cyclic then every N_y is a polynomial in X, so
+       the N_y commute and the ring is associative.  Proof: let the rows
+       w_k = e_0 X^k (k < n) span Q^n.  If B commutes with X, write w_0 B
+       = sum_k a_k w_k = w_0 q(X); then w_k B = w_0 B X^k = w_0 q(X) X^k
+       = w_k q(X) for every k, so B = q(X).  The rows w_k are integer
+       vectors; their n x n matrix is certified invertible by exact
+       int64 elimination mod the prime ``_KRYLOV_PRIME``: a determinant
+       that is nonzero mod p is nonzero over Q.
+
+    When the certificate fails (no X is cyclic in a non-semisimple ring,
+    and an unlucky c may miss in a semisimple one) or the bound of step 1
+    does not hold, :func:`_check_associativity_by_rows` decides in
+    O(n^5) flops.
 
     Raises
     ------
     MdkError
-        Naming the first identity that fails.
+        Naming the first identity that fails, or that the coefficients
+        are too large to check exactly (``n * max|N|^2 >= 2^63``).
     """
     n = N.shape[0]
     if not np.array_equal(N[0], np.eye(n, dtype=N.dtype)):
         raise MdkError("fusion ring violates the unit row N[0,j,k] = delta_jk")
     if not np.array_equal(N, N.transpose(1, 0, 2)):
         raise MdkError("fusion ring is not commutative in the lower indices")
-    M = N.astype(np.float64) if n * int(N.max()) ** 2 < 2 ** 53 else N
+    big = max(int(N.max()), -int(N.min()))
+    if n * big ** 2 >= 2 ** 63:
+        raise MdkError(
+            f"fusion coefficients up to {big} at rank {n} are too large for an "
+            f"exact associativity check (n * max|N|^2 >= 2^63)")
+    M = N.astype(np.float64) if n * big ** 2 < 2 ** 53 else N
+    if n * n * 2 ** 20 * big ** 2 < 2 ** 53 and _commutes_with_cyclic_element(M):
+        return
+    _check_associativity_by_rows(M)
+
+
+# largest prime below 2^23: with n < 2^17, which the bound of step 1 in
+# _check_ring implies, the Krylov products n * (p - 1)^2 stay in int64
+_KRYLOV_PRIME = 8388593
+
+
+def _splitmix64(i: int) -> int:
+    """Output i of the splitmix64 generator started from state 0."""
+    z = (i + 1) * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+    return z ^ z >> 31
+
+
+def _commutes_with_cyclic_element(M: np.ndarray) -> bool:
+    """Steps 1 and 2 of :func:`_check_ring` on a commutative float64 M.
+
+    Raises on a mismatch in step 1; returns whether X was certified
+    cyclic.
+    """
+    n = M.shape[0]
+    c = np.array([(_splitmix64(i) >> 44) + 1 for i in range(n)], dtype=np.float64)
+    rows = M.reshape(n, n * n)  # [j, (y, l)] = (N_y)_jl, by commutativity
+    X = (c @ rows).reshape(n, n)
+    left = (X @ rows).reshape(n, n, n)  # [j, y, l] = (X N_y)_jl
+    right = (M.reshape(n * n, n) @ X).reshape(n, n, n)  # [y, j, l] = (N_y X)_jl
+    if not np.array_equal(left, right.transpose(1, 0, 2)):
+        raise MdkError("fusion ring violates associativity")
+    del left, right
+    p = _KRYLOV_PRIME
+    Xp = X.astype(np.int64) % p
+    K = np.zeros((n, n), dtype=np.int64)  # row k: e_0 X^k mod p
+    K[0, 0] = 1
+    for k in range(1, n):
+        K[k] = K[k - 1] @ Xp % p
+    for col in range(n):  # Gaussian elimination mod p
+        nonzero = np.flatnonzero(K[col:, col])
+        if nonzero.size == 0:
+            return False
+        r = col + int(nonzero[0])
+        if r != col:
+            K[[col, r]] = K[[r, col]]
+        K[col, col:] = K[col, col:] * pow(int(K[col, col]), -1, p) % p
+        K[col + 1:, col:] = (K[col + 1:, col:]
+                             - K[col + 1:, col, None] * K[col, col:]) % p
+    return True
+
+
+def _check_associativity_by_rows(M: np.ndarray) -> None:
+    """Associativity of a commutative M, compared one object at a time.
+
+    For each i, the identity is two matrix products, for k >= i only:
+    once commutativity holds, the identity for (i, j, k) is the one for
+    (k, j, i) with its sides swapped.  M is float64 when ``n * max|N|^2 <
+    2**53``: every partial sum is then an integer float64 holds exactly,
+    so the comparison stays exact.  Otherwise it is the int64 tensor,
+    exact while ``n * max|N|^2 < 2**63``.
+    """
+    n = M.shape[0]
     rows = M.reshape(n, n * n)
     for i in range(n):
         left = (M[i] @ rows[:, i * n:]).reshape(n, n - i, n)  # [j, k, l]

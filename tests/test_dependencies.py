@@ -46,3 +46,22 @@ def test_commands_do_not_import_numpy_ma():
     out = subprocess.run([sys.executable, "-c", MASKED_PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+RANDOM_PROBE = """
+import contextlib, io, sys
+from mdkit import cli
+for argv in (["fusion", "su2:4"], ["fusion", "preset:toric_code"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0, argv
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_fusion_does_not_import_numpy_random():
+    # the check of the fusion ring draws its coefficients from a fixed
+    # hash: importing numpy.random costs about 10 ms per process
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", RANDOM_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

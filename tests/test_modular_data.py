@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdkit import (GROUP_PRESETS, PRESETS, DimensionMismatchError, MdkError,
                    ModularData, NonIntegralError, ValidationFailedError,
@@ -17,7 +18,7 @@ from mdkit import (GROUP_PRESETS, PRESETS, DimensionMismatchError, MdkError,
                    charge_conjugation, cyclic, deligne_product, evaluate,
                    gauss_sum, parse_spec, pointed, preset, reverse, unit_root,
                    validate, verlinde_fusion)
-from mdkit import numeric
+from mdkit import modular_data, numeric
 from mdkit.modular_data import _check_ring
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -202,6 +203,132 @@ def test_check_ring_large_coefficients_stay_exact():
         _check_ring(N)
 
 
+def test_check_ring_refuses_coefficients_past_int64():
+    # x*x = x, x*z = 2^32 x, z*z = 2^33 z: (x*z)*z = 2^64 x but
+    # x*(z*z) = 2^65 x, equal mod 2^64, so int64 products would wrap and
+    # accept this tensor
+    N = fusion_tensor(((1, 1), [0, 1, 0]), ((1, 2), [0, 2 ** 32, 0]),
+                      ((2, 2), [0, 0, 2 ** 33]))
+    assert ring_verdict(N) == "fusion ring violates associativity"
+    with pytest.raises(MdkError, match=r"too large .*2\^63"):
+        _check_ring(N)
+
+
+def ring_verdict(N):
+    """The message _check_ring must raise on N, or None; in Python ints."""
+    L = N.tolist()
+    r = range(len(L))
+    if any(L[0][j][k] != (j == k) for j in r for k in r):
+        return "fusion ring violates the unit row N[0,j,k] = delta_jk"
+    if any(L[i][j][k] != L[j][i][k] for i in r for j in r for k in r):
+        return "fusion ring is not commutative in the lower indices"
+    for i in r:
+        for j in r:
+            for k in r:
+                for l in r:
+                    if (sum(L[i][j][m] * L[m][k][l] for m in r)
+                            != sum(L[j][k][m] * L[i][m][l] for m in r)):
+                        return "fusion ring violates associativity"
+    return None
+
+
+def monomial_ring(staircase):
+    """Z[x, y] / (monomials x^a y^b with b >= staircase[a]), staircase
+    nonincreasing: associative, and not semisimple unless it is Z."""
+    basis = [(a, b) for a, h in enumerate(staircase) for b in range(h)]
+    index = {m: t for t, m in enumerate(basis)}
+    n = len(basis)
+    N = np.zeros((n, n, n), dtype=np.int64)
+    for s, (a, b) in enumerate(basis):
+        for t, (c, d) in enumerate(basis):
+            u = index.get((a + c, b + d))
+            if u is not None:
+                N[s, t, u] = 1
+    return N
+
+
+def group_ring(m):
+    N = np.zeros((m, m, m), dtype=np.int64)
+    for a in range(m):
+        for b in range(m):
+            N[a, b, (a + b) % m] = 1
+    return N
+
+
+@st.composite
+def commutative_unital_tensors(draw):
+    """Random commutative unital tensors with entries 0-3, sometimes with
+    one entry overwritten so that the unit row or commutativity fails."""
+    n = draw(st.integers(1, 5))
+    N = np.zeros((n, n, n), dtype=np.int64)
+    N[0] = N[:, 0] = np.eye(n, dtype=np.int64)
+    for i in range(1, n):
+        for j in range(i, n):
+            N[i, j] = N[j, i] = draw(st.lists(st.integers(0, 3),
+                                              min_size=n, max_size=n))
+    if draw(st.booleans()):
+        where = draw(st.tuples(*[st.integers(0, n - 1)] * 3))
+        N[where] = draw(st.integers(0, 3))
+    return N
+
+
+@st.composite
+def associative_tensors(draw):
+    """Tensor products of monomial rings, group rings and the rank-2 rings
+    x*x = b + a x, relabeled by a permutation fixing the unit, sometimes
+    with one entry overwritten."""
+    factors = st.one_of(
+        st.lists(st.integers(1, 3), min_size=1, max_size=2).map(
+            lambda h: monomial_ring(sorted(h, reverse=True))),
+        st.integers(1, 3).map(group_ring),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+            lambda ab: fusion_tensor(((1, 1), [ab[1], ab[0]]))))
+    N = draw(factors)
+    B = draw(factors)
+    if len(N) * len(B) <= 9:  # keeps the reference loop quick
+        n = len(N) * len(B)
+        N = np.einsum("ijk,abc->iajbkc", N, B).reshape(n, n, n)
+    n = len(N)
+    p = [0] + draw(st.permutations(range(1, n)))
+    N = np.ascontiguousarray(N[np.ix_(p, p, p)])
+    if draw(st.booleans()):
+        where = draw(st.tuples(*[st.integers(0, n - 1)] * 3))
+        N[where] = draw(st.integers(0, 3))
+    return N
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(commutative_unital_tensors(), associative_tensors()))
+def test_check_ring_matches_python_int_reference(N):
+    try:
+        _check_ring(N)
+        got = None
+    except MdkError as e:
+        got = str(e)
+    assert got == ring_verdict(N)
+
+
+@pytest.mark.parametrize("staircase, cyclic", [
+    ((1,), True), ((4,), True), ((2, 1), False), ((2, 2), False),
+    ((3, 1), False)])
+def test_check_ring_falls_back_when_no_element_is_cyclic(monkeypatch,
+                                                          staircase, cyclic):
+    # Z[y]/(y^4) is generated by y; Z[x, y]/(x^2, xy, y^2) and its kin are
+    # generated by no single element, so the certificate fails and the
+    # loop decides
+    calls = []
+    loop = modular_data._check_associativity_by_rows
+
+    def counted(M):
+        calls.append(len(M))
+        loop(M)
+
+    monkeypatch.setattr(modular_data, "_check_associativity_by_rows", counted)
+    N = monomial_ring(staircase)
+    _check_ring(N)
+    assert calls == ([] if cyclic else [len(N)])
+
+
 @pytest.mark.parametrize("spec, seed", [
     ("su2:10", 1),
     ("tdouble:6:1", 2),
@@ -251,6 +378,30 @@ def test_verlinde_rank49_matches_pinned_digest():
     h = hashlib.sha256(repr(N.shape).encode())
     h.update(np.ascontiguousarray(N, dtype=np.int64).tobytes())
     assert h.hexdigest()[:24] == "504bee82c684d683fe26a842"
+
+
+@pytest.mark.parametrize("spec, digest", [
+    ("tdouble:8:3", "ce947185e70a7f660b1b823e"),
+    ("prod(double:D4,preset:ising)", "043aa627ad4acee078ccbce8"),
+])
+def test_verlinde_matches_pinned_digest(spec, digest):
+    # the benchmark's other two scale fusions, pinned before the check of
+    # the ring axioms moved to the cyclic certificate
+    N = verlinde_fusion(evaluate(parse_spec(spec))).N
+    h = hashlib.sha256(repr(N.shape).encode())
+    h.update(np.ascontiguousarray(N, dtype=np.int64).tobytes())
+    assert h.hexdigest()[:24] == digest
+
+
+def test_verlinde_rings_are_certified_without_the_loop(monkeypatch):
+    def loop(M):
+        raise AssertionError(f"fallback loop ran at rank {len(M)}")
+    monkeypatch.setattr(modular_data, "_check_associativity_by_rows", loop)
+    specs = ([f"su2:{k}" for k in range(1, 33)]
+             + [f"tdouble:{n}:{p}" for n in range(1, 9) for p in range(n)]
+             + [f"double:{g}" for g in GROUP_PRESETS])
+    for spec in specs:
+        verlinde_fusion(evaluate(parse_spec(spec)))
 
 
 def test_verlinde_rank64_peak_rss():
