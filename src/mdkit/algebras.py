@@ -130,8 +130,7 @@ def screen_algebra(host: ModularData, mult, *,
     host.require_valid()
     vec = _as_mult(host, mult)
     dgamma, verdicts = _screen_verdicts(host, vec, lenient)
-    return AlgebraCandidate(host, tuple(int(x) for x in vec), dgamma,
-                            tuple(verdicts))
+    return AlgebraCandidate(host, tuple(vec.tolist()), dgamma, tuple(verdicts))
 
 
 def local_modules_dim(c: AlgebraCandidate) -> float:
@@ -181,8 +180,7 @@ def algebra_from_invariant(left: ModularData, right: ModularData,
     target = math.sqrt(left.global_dim * right.global_dim)
     res = abs(dgamma - target)
     verdicts.append(Check("maximal", res < 1e-6, res))
-    return AlgebraCandidate(host, tuple(int(x) for x in vec), dgamma,
-                            tuple(verdicts))
+    return AlgebraCandidate(host, tuple(vec.tolist()), dgamma, tuple(verdicts))
 
 
 @dataclass(frozen=True)

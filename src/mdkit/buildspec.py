@@ -221,7 +221,8 @@ def evaluate(spec: BuildSpec, eps: float | None = None) -> ModularData:
     File lookups happen here, not at parse time, and files are read on
     every call.  Built-in leaves (presets, SU(2) levels, twisted doubles
     and doubles of preset groups) are constructed once per process and
-    eps; each call still returns a new object, validated afresh.  `eps`
+    eps; each call still returns a new object, validated afresh (a
+    product or reverse inherits the gate of its inputs).  `eps`
     becomes the tolerance of the result (a product takes the larger of its
     factors'), which every analysis of it reads; it must be a finite
     number > 0 (ToleranceError otherwise).  A file document is parsed

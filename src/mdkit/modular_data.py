@@ -92,6 +92,9 @@ class ModularData:
     :meth:`validation` runs all checks and caches the report.
     """
 
+    # set on the results of deligne_product and reverse (see require_valid)
+    _inherits_gate = False
+
     def __init__(self, S, T, labels=None, eps: float | None = None):
         S = np.array(S, dtype=complex)
         T = np.array(T, dtype=complex)
@@ -118,22 +121,44 @@ class ModularData:
         self.eps = default_eps() if eps is None else checked_eps(eps)
         self._report: ValidationReport | None = None
 
-    @property
+    @functools.cached_property
     def dims(self) -> np.ndarray:
-        """Quantum dimensions d_i = S_{0i}/S_{00} (real parts)."""
-        return (self.S[0] / self.S[0, 0]).real
+        """Quantum dimensions d_i = S_{0i}/S_{00} (real parts).
 
-    @property
+        Computed once per object and returned read-only, like S and T.
+        """
+        dims = (self.S[0] / self.S[0, 0]).real
+        dims.setflags(write=False)
+        return dims
+
+    @functools.cached_property
     def global_dim(self) -> float:
-        """dim C = sum of d_i^2."""
+        """dim C = sum of d_i^2, computed once per object."""
         return float((self.dims ** 2).sum())
 
     def validation(self) -> ValidationReport:
+        """The full :func:`validate` report, run on first call and cached."""
         if self._report is None:
             self._report = validate(self)
         return self._report
 
     def require_valid(self) -> "ModularData":
+        """Return self if the axioms hold within eps, else raise.
+
+        The result of :func:`deligne_product` or :func:`reverse` returns at
+        once: its constructor already gated the inputs, and the product or
+        mirror of modular data is modular.  Its :meth:`validation` still
+        runs the full battery on request, and its residuals may exceed the
+        inputs' (a product's reach about the sum of its factors'), so data
+        within a few ulps of eps can pass this gate yet fail that report.
+
+        Raises
+        ------
+        ValidationFailedError
+            Carrying the report, if some check fails.
+        """
+        if self._inherits_gate:
+            return self
         report = self.validation()
         if not report.ok:
             failed = ", ".join(c.name for c in report.checks if not c.passed)
@@ -282,12 +307,13 @@ def verlinde_fusion(md: ModularData) -> FusionRing:
         raise NonIntegralError(
             f"Verlinde coefficient N[{i},{j},{k}] rounds to {rounded[where]:g} < 0",
             where=(i, j, k), residual=float(rounded[where]))
+    dims = md.dims
+    # on the float64 tensor, which holds the integers of N exactly
+    dim_residual = np.abs(rounded @ dims - np.outer(dims, dims)).max()
     N = rounded.astype(np.int64)
     del rounded
 
     _check_ring(N)
-    dims = md.dims
-    dim_residual = np.abs(N @ dims - np.outer(dims, dims)).max()
     if dim_residual > max(md.eps, 1e-12 * md.global_dim * n):
         raise MdkError(
             f"fusion dimensions inconsistent (residual {dim_residual:.3g})")
@@ -452,7 +478,9 @@ def deligne_product(a: ModularData, b: ModularData) -> ModularData:
     """Kronecker product of modular data (the product of categories).
 
     Labels are "left⊗right" pairs in row-major index order, so the unit
-    (0, 0) lands at index 0.
+    (0, 0) lands at index 0.  Both factors must pass their gate; the
+    product then inherits it (``require_valid`` returns at once), so
+    screens that read only dimensions and twists never form its S.
     """
     a.require_valid()
     b.require_valid()
@@ -460,13 +488,16 @@ def deligne_product(a: ModularData, b: ModularData) -> ModularData:
 
 
 class _DeligneProduct(ModularData):
-    """A Deligne product whose S is formed on first use.
+    """A Deligne product whose S and labels are formed on first use.
 
-    Algebra screens on a product read only its dimensions and twists, so
-    the (rank_a rank_b)^2 S matrix is never built for them.  Once formed,
-    S equals the eager ``np.kron(a.S, b.S)`` bit for bit, and so do the
-    dimensions taken from its first row.
+    Algebra screens and Witt invariants on a product read only its
+    dimensions and twists, so the (rank_a rank_b)^2 S matrix is never
+    built for them.  Once formed, S equals the eager ``np.kron(a.S,
+    b.S)`` bit for bit, and so do the dimensions, taken from the
+    Kronecker product of the factors' first rows.
     """
+
+    _inherits_gate = True
 
     def __init__(self, a: ModularData, b: ModularData):
         T = np.kron(a.T, b.T)
@@ -474,31 +505,42 @@ class _DeligneProduct(ModularData):
         self._factors = (a, b)
         self.T = T
         self.rank = a.rank * b.rank
-        self.labels = tuple(f"{la}⊗{lb}" for la in a.labels for lb in b.labels)
         self.eps = max(a.eps, b.eps)
         self._report = None
 
     @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        a, b = self._factors
+        return tuple(f"{la}⊗{lb}" for la in a.labels for lb in b.labels)
+
+    @functools.cached_property
     def S(self) -> np.ndarray:
+        check_bytes(16 * self.rank ** 2, f"product S at rank {self.rank}")
         a, b = self._factors
         S = np.kron(a.S, b.S)
         S.setflags(write=False)
         return S
 
-    @property
+    @functools.cached_property
     def dims(self) -> np.ndarray:
         a, b = self._factors
         row = np.kron(a.S[0], b.S[0])
-        return (row / row[0]).real
+        dims = (row / row[0]).real
+        dims.setflags(write=False)
+        return dims
 
 
 def reverse(md: ModularData) -> ModularData:
     """Reverse (mirror) data: complex conjugate of S and T.
 
-    Applying it twice restores the original arrays bit for bit.
+    Applying it twice restores the original arrays bit for bit.  ``md``
+    must pass its gate, and the mirror inherits it: ``require_valid`` on
+    the result returns at once.
     """
     md.require_valid()
-    return ModularData(np.conj(md.S), np.conj(md.T), labels=md.labels, eps=md.eps)
+    rev = ModularData(np.conj(md.S), np.conj(md.T), labels=md.labels, eps=md.eps)
+    rev._inherits_gate = True
+    return rev
 
 
 def charge_conjugation(md: ModularData) -> list[int]:

@@ -10,6 +10,7 @@ charge, 10080 for twist orders).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 from fractions import Fraction
@@ -134,8 +135,14 @@ def phase_fraction(z: complex, max_den: int, tol: float) -> Fraction | None:
     return None if hit is None else Fraction(hit[0], hit[1])
 
 
+@functools.lru_cache(maxsize=4096)
 def _phase_root(z: complex, max_den: int, tol: float) -> tuple[int, int, complex] | None:
-    """(num, den, unit_root(num, den)) for :func:`phase_fraction`'s t, or None."""
+    """(num, den, unit_root(num, den)) for :func:`phase_fraction`'s t, or None.
+
+    Memoized: every relabeled or rebuilt copy of a data set checks the
+    same twists again.  Keys that compare equal (1 and 1+0j, or a signed
+    zero part) give the same answer, so sharing an entry is exact.
+    """
     if z == 0 or not cmath.isfinite(z):
         return None
     num, den = _best_rational(cmath.phase(z) / (2 * math.pi) % 1.0, max_den)

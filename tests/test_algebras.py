@@ -1,6 +1,7 @@
 """Tests for algebra screening, Witt invariants and anisotropy."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from mdkit import (IncompleteEnumerationError, MdkError, ModularData,
                    evaluate, local_modules_dim, parse_spec, preset, reverse,
                    screen_algebra, su2_level, witt_inverse, witt_invariants,
                    witt_obstruction, witt_product)
+from mdkit import algebras, modular_data
 from mdkit.algebras import _candidate_vectors, _dimension_slack
 
 
@@ -127,6 +129,22 @@ def test_algebra_from_invariant_leaves_host_s_unformed():
     assert cands[0].host.S.shape == (121, 121)
 
 
+def test_algebra_from_invariant_validates_no_host(monkeypatch):
+    # the host and the reversed right-hand side inherit the gate of the
+    # data they are built from, which the invariant search already passed
+    md = su2_level(6)
+    invs = enumerate_invariants(md)
+    calls = []
+    real = modular_data.validate
+    monkeypatch.setattr(modular_data, "validate",
+                        lambda x: calls.append(x.rank) or real(x))
+    cands = [algebra_from_invariant(md, md, z) for z in invs]
+    assert calls == []
+    assert [c.mult for c in cands] == [tuple(np.asarray(z.Z).T.flatten())
+                                       for z in invs]
+    assert all(type(x) is int for c in cands for x in c.mult)
+
+
 def test_algebra_from_invariant_rejects_garbage():
     fib, ising = preset("fibonacci"), preset("ising")
     z = enumerate_invariants(fib)[0]
@@ -210,6 +228,28 @@ def test_witt_obstruction_verdicts():
     assert ob.reasons == ()
     ob = witt_obstruction(preset("ising"), preset("ising"))
     assert ob.verdict == "possibly_equivalent"
+
+
+@pytest.mark.parametrize("spec", ["double:Z_7", "double:Z_12"])
+def test_witt_obstruction_never_forms_the_product_s(monkeypatch, spec):
+    # rank 2 401 and 20 736: validating the product would take seconds
+    # and hundreds of MB (Z_7), or be refused at the bytes cap (Z_12)
+    md = evaluate(parse_spec(spec))
+    md.require_valid()
+    products = []
+
+    def product(a, b):
+        products.append(deligne_product(a, b))
+        return products[-1]
+
+    monkeypatch.setattr(algebras, "deligne_product", product)
+    start = time.perf_counter()
+    ob = witt_obstruction(md, md)
+    assert time.perf_counter() - start < 1.0
+    assert (ob.verdict, ob.reasons) == ("possibly_equivalent", ())
+    (prod,) = products
+    assert prod.rank == md.rank ** 2
+    assert "S" not in vars(prod) and prod._report is None
 
 
 def test_anisotropy_fibonacci():

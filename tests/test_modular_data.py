@@ -501,9 +501,101 @@ def test_oversized_validation_is_refused_before_forming_s(monkeypatch):
     monkeypatch.setattr(numeric, "_BYTES_CAP", 10 ** 6)
     small = evaluate(parse_spec("prod(double:Z_3,double:Z_3)"))
     assert validate(small).ok
-    # rank 144: 80 n^2 bytes is about 2 MB, and S is never formed
+    # rank 144: the product inherits its factors' gate, so the central
+    # charge needs no S; an explicit validation (80 n^2 bytes, about 2 MB)
+    # is still refused before S is formed
     big = evaluate(parse_spec("prod(double:Z_4,double:Z_3)"))
+    assert central_charge(big) == 0
+    assert "S" not in vars(big)
     with pytest.raises(MdkError, match=r"validation at rank 144 needs about "
                                        r"2 MB, past the 1 MB cap"):
-        central_charge(big)
+        validate(big)
     assert "S" not in vars(big)
+    # rank 400: forming S alone (16 n^2 bytes) is refused too
+    bigger = evaluate(parse_spec("prod(double:Z_5,double:Z_4)"))
+    with pytest.raises(MdkError, match=r"product S at rank 400 needs about "
+                                       r"3 MB, past the 1 MB cap"):
+        bigger.S
+    assert "S" not in vars(bigger)
+
+
+GATE_LEAVES = ([f"preset:{p}" for p in PRESETS]
+               + [f"su2:{k}" for k in range(1, 33)]
+               + [f"double:{g}" for g in GROUP_PRESETS]
+               + [f"tdouble:{n}:{p}" for n in range(1, 10) for p in range(n)])
+GATE_PRODUCTS = ["prod(preset:ising,preset:fibonacci)", "prod(su2:4,su2:4)",
+                 "prod(double:S3,preset:ising)",
+                 "prod(preset:fibonacci,rev(preset:fibonacci))",
+                 "prod(double:Z_3,tdouble:3:1)", "prod(su2:10,su2:6)"]
+
+
+def test_inherited_gate_agrees_with_the_full_report():
+    # A product or a reverse passes require_valid without running the
+    # battery; here the battery runs anyway and must agree.  Reverse
+    # residuals equal the original's except in the last bits of the twist
+    # check; a product's reach about the sum of its factors', so only an
+    # eps within a few ulps of those residuals could split gate and report.
+    gated, split, moved = 0, [], set()
+    for eps in (1e-12, 1e-9, 1e-6):
+        for spec in GATE_LEAVES + GATE_PRODUCTS:
+            md = evaluate(parse_spec(spec), eps=eps)
+            rev = reverse(md)
+            for x in (md, rev):
+                x.require_valid()
+                if x._inherits_gate:
+                    gated += 1
+                    if not x.validation().ok:
+                        split.append((spec, eps, x is rev))
+            report = md.validation()
+            moved.update(c.name for c in rev.validation().checks
+                         if c.residual != report[c.name].residual)
+    assert (gated, split, moved) == (330, [], {"t_roots_of_unity"})
+
+
+@pytest.mark.parametrize("spec", ["su2:9", "tdouble:6:1", "rev(double:S3)",
+                                  "prod(double:S3,preset:ising)",
+                                  "prod(rev(su2:3),prod(preset:semion,su2:2))"])
+def test_dims_are_computed_once_read_only_and_unchanged(spec):
+    md = evaluate(parse_spec(spec))
+    dims = md.dims
+    assert dims is md.dims
+    assert not dims.flags.writeable
+    with pytest.raises(ValueError):
+        dims[0] = 2.0
+    if hasattr(md, "_factors"):  # the old product formula: kron of row 0
+        a, b = md._factors
+        row = np.kron(a.S[0], b.S[0])
+        old = (row / row[0]).real
+    else:
+        old = (md.S[0] / md.S[0, 0]).real
+    assert dims.tobytes() == old.tobytes()
+    assert md.global_dim == float((old ** 2).sum())
+
+
+def test_product_labels_equal_the_eager_pairs():
+    a, b = preset("ising"), reverse(preset("fibonacci"))
+    inner = deligne_product(a, b)
+    prod = deligne_product(inner, preset("semion"))
+    assert "labels" not in vars(prod)
+    eager = tuple(f"{x}⊗{y}" for x in a.labels for y in b.labels)
+    assert inner.labels == eager
+    assert prod.labels == tuple(f"{x}⊗{y}" for x in eager
+                                for y in preset("semion").labels)
+    assert prod.labels[0] == "1⊗1⊗1"
+
+
+def test_revalidating_a_relabeled_copy_finds_its_twists_cached(monkeypatch):
+    md = evaluate(parse_spec("tdouble:6:1"))
+    assert validate(md).ok
+    calls = []
+
+    def counting(x, max_den):
+        calls.append(x)
+        return best(x, max_den)
+
+    best = numeric._best_rational
+    monkeypatch.setattr(numeric, "_best_rational", counting)
+    p = np.concatenate(([0], 1 + np.random.default_rng(5).permutation(md.rank - 1)))
+    moved = ModularData(md.S[np.ix_(p, p)], md.T[p], eps=md.eps)
+    assert validate(moved).ok
+    assert calls == []
