@@ -147,9 +147,9 @@ def local_modules_dim(c: AlgebraCandidate) -> float:
 
 @functools.lru_cache(maxsize=1)
 def _invariant_host(left: ModularData, right: ModularData) -> ModularData:
-    """deligne_product(left, reverse(right)), built once for a run of
-    calls on the same pair: every invariant of the pair shares the host
-    (ModularData is immutable), so memory does not grow with their count.
+    """deligne_product(left, reverse(right)), built once per pair of
+    immutable objects, which `evaluate` shares per built-in leaf: every
+    invariant of the pair shares the host, so memory does not grow.
     """
     return deligne_product(left, reverse(right))
 

@@ -201,11 +201,11 @@ def render(spec: BuildSpec) -> str:
     raise TypeError(f"not a build spec: {spec!r}")
 
 
-# (S, T, labels) of each leaf whose data depends on the spec text alone,
-# keyed by (leaf, eps).  The arrays are read-only.  The grammar bounds the
-# keys per eps: 6 presets, 32 SU(2) levels, 15 group doubles in two
-# spellings and 78 twisted doubles.
-_BUILT: dict[tuple[BuildSpec, float], tuple] = {}
+# The immutable ModularData of each leaf whose data depends on the spec
+# text alone, keyed by (leaf, eps).  The grammar bounds the keys per eps:
+# 6 presets, 32 SU(2) levels, 15 group doubles in two spellings and 78
+# twisted doubles.
+_BUILT: dict[tuple[BuildSpec, float], ModularData] = {}
 
 
 def _built_in(spec: BuildSpec) -> bool:
@@ -221,12 +221,13 @@ def evaluate(spec: BuildSpec, eps: float | None = None) -> ModularData:
     File lookups happen here, not at parse time, and files are read on
     every call.  Built-in leaves (presets, SU(2) levels, twisted doubles
     and doubles of preset groups) are constructed once per process and
-    eps; each call still returns a new object, validated afresh (a
-    product or reverse inherits the gate of its inputs).  `eps`
-    becomes the tolerance of the result (a product takes the larger of its
-    factors'), which every analysis of it reads; it must be a finite
-    number > 0 (ToleranceError otherwise).  A file document is parsed
-    here but, like every other leaf, validated at first use.
+    eps, and every call returns that one immutable object, whose axioms
+    are checked once (a product or reverse inherits the gate of its
+    inputs).  `eps` becomes the tolerance of the result (a product takes
+    the larger of its factors'), which every analysis of it reads; it
+    must be a finite number > 0 (ToleranceError otherwise).  A file
+    document is parsed here but, like every other leaf, validated at
+    first use.
     """
     if eps is not None:
         eps = checked_eps(eps)
@@ -239,13 +240,10 @@ def evaluate(spec: BuildSpec, eps: float | None = None) -> ModularData:
         return _build(spec, eps)
     # the eps is part of the key: construction checks against it too
     eps = default_eps() if eps is None else eps
-    hit = _BUILT.get((spec, eps))
-    if hit is None:
-        md = _build(spec, eps)
-        _BUILT[spec, eps] = md.S, md.T, md.labels
-        return md
-    S, T, labels = hit
-    return ModularData(S, T, labels=labels, eps=eps)
+    md = _BUILT.get((spec, eps))
+    if md is None:
+        md = _BUILT[spec, eps] = _build(spec, eps)
+    return md
 
 
 def _build(spec: BuildSpec, eps: float | None) -> ModularData:

@@ -86,14 +86,14 @@ class ModularData:
 
     Notes
     -----
-    Instances are immutable: the arrays are frozen at construction and
-    every operation is a pure function, so values can be shared freely
-    across threads.  Axiom checking is lazy; the first call to
-    :meth:`validation` runs all checks and caches the report.
+    Instances are immutable (read-only arrays; assigning an attribute
+    raises AttributeError), so one object can be shared freely, across
+    threads too.  :func:`validate` records its report on the object.
     """
 
-    # set on the results of deligne_product and reverse (see require_valid)
+    # _inherits_gate: see require_valid; _report: recorded by validate
     _inherits_gate = False
+    _report: ValidationReport | None = None
 
     def __init__(self, S, T, labels=None, eps: float | None = None):
         S = np.array(S, dtype=complex)
@@ -114,12 +114,14 @@ class ModularData:
                 f"{len(labels)} labels for rank {rank}")
         S.setflags(write=False)
         T.setflags(write=False)
-        self.S = S
-        self.T = T
-        self.rank = rank
-        self.labels = labels
-        self.eps = default_eps() if eps is None else checked_eps(eps)
-        self._report: ValidationReport | None = None
+        eps = default_eps() if eps is None else checked_eps(eps)
+        vars(self).update(S=S, T=T, rank=rank, labels=labels, eps=eps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ModularData is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ModularData is immutable: cannot delete {name!r}")
 
     @functools.cached_property
     def dims(self) -> np.ndarray:
@@ -137,10 +139,8 @@ class ModularData:
         return float((self.dims ** 2).sum())
 
     def validation(self) -> ValidationReport:
-        """The full :func:`validate` report, run on first call and cached."""
-        if self._report is None:
-            self._report = validate(self)
-        return self._report
+        """The report :func:`validate` recorded here, run now if there is none."""
+        return validate(self) if self._report is None else self._report
 
     def require_valid(self) -> "ModularData":
         """Return self if the axioms hold within eps, else raise.
@@ -182,7 +182,7 @@ def validate(md: ModularData) -> ValidationReport:
     each; the rest is a few O(n^3) matrix products.  Peak memory is
     about 80 n^2 bytes (the S of a Deligne product is formed here, on
     first use), and an estimate past ``numeric._BYTES_CAP`` raises
-    MdkError before S is read.
+    MdkError before S is read.  The report is recorded on ``md``.
     """
     n = md.rank
     # S, conj(S), S S^H, the identity, their difference and its modulus
@@ -237,7 +237,8 @@ def validate(md: ModularData) -> ValidationReport:
         r = math.inf
     checks.append(Check("st_cubed", r < eps, r))
 
-    return ValidationReport(tuple(checks))
+    report = vars(md)["_report"] = ValidationReport(tuple(checks))
+    return report
 
 
 @dataclass(frozen=True)
@@ -502,11 +503,8 @@ class _DeligneProduct(ModularData):
     def __init__(self, a: ModularData, b: ModularData):
         T = np.kron(a.T, b.T)
         T.setflags(write=False)
-        self._factors = (a, b)
-        self.T = T
-        self.rank = a.rank * b.rank
-        self.eps = max(a.eps, b.eps)
-        self._report = None
+        vars(self).update(_factors=(a, b), T=T, rank=a.rank * b.rank,
+                          eps=max(a.eps, b.eps))
 
     @functools.cached_property
     def labels(self) -> tuple[str, ...]:
@@ -538,9 +536,36 @@ def reverse(md: ModularData) -> ModularData:
     the result returns at once.
     """
     md.require_valid()
-    rev = ModularData(np.conj(md.S), np.conj(md.T), labels=md.labels, eps=md.eps)
-    rev._inherits_gate = True
-    return rev
+    return _Reverse(md)
+
+
+class _Reverse(ModularData):
+    """The mirror of gated data, whose S is conjugated on first use.
+
+    Its dimensions are those of the original, so the mirror of a
+    Deligne product, like the product itself, answers screens that read
+    only dimensions and twists without forming S.  The conjugate is
+    taken of the original's S itself, never rebuilt from factors: that
+    keeps its signed zeros, and so the bytes of every serialization.
+    """
+
+    _inherits_gate = True
+
+    def __init__(self, md: ModularData):
+        T = np.conj(md.T)
+        T.setflags(write=False)
+        vars(self).update(_inner=md, T=T, rank=md.rank, labels=md.labels,
+                          eps=md.eps)
+
+    @functools.cached_property
+    def S(self) -> np.ndarray:
+        S = np.conj(self._inner.S)
+        S.setflags(write=False)
+        return S
+
+    @functools.cached_property
+    def dims(self) -> np.ndarray:
+        return self._inner.dims
 
 
 def charge_conjugation(md: ModularData) -> list[int]:

@@ -252,6 +252,17 @@ def test_witt_obstruction_never_forms_the_product_s(monkeypatch, spec):
     assert "S" not in vars(prod) and prod._report is None
 
 
+def test_witt_of_a_reversed_product_never_forms_the_product_s():
+    # rank 20 736: the product's S alone would be refused at the bytes cap
+    md = evaluate(parse_spec("rev(prod(double:Z_12,double:Z_12))"))
+    start = time.perf_counter()
+    wi = witt_invariants(md)
+    assert time.perf_counter() - start < 1.0
+    assert "S" not in vars(md) and "S" not in vars(md._inner)
+    same = evaluate(parse_spec("prod(rev(double:Z_12),rev(double:Z_12))"))
+    assert wi == witt_invariants(same)
+
+
 def test_anisotropy_fibonacci():
     rep = anisotropy_screen(preset("fibonacci"))
     assert rep.anisotropic

@@ -13,6 +13,7 @@ from mdkit import (MdkError, PRESETS, SpecParseError, ToleranceError,
                    equivalent_up_to_relabeling, evaluate, group_preset,
                    load_modular_data, parse_spec, preset, render, su2_level,
                    twisted_double_cyclic, verlinde_fusion)
+from mdkit import modular_data
 from mdkit.buildspec import (Double, File, Pointed, Preset, Prod, Rev, Su2,
                              TDouble)
 
@@ -174,10 +175,10 @@ def test_default_eps_env(monkeypatch):
     ("double:preset:S3", lambda: drinfeld_double(group_preset("S3"))),
     ("tdouble:6:5", lambda: twisted_double_cyclic(6, 5)),
 ])
-def test_built_in_leaves_are_fresh_copies_of_the_constructor(text, direct):
+def test_built_in_leaves_are_one_shared_copy_of_the_constructor(text, direct):
     want = direct()
     first, second = (evaluate(parse_spec(text)) for _ in range(2))
-    assert first is not second
+    assert first is second
     for md in (first, second):
         assert md.S.tobytes() == want.S.tobytes()
         assert md.T.tobytes() == want.T.tobytes()
@@ -199,6 +200,25 @@ def test_one_construction_serves_every_use_of_a_leaf(monkeypatch):
     assert len(calls) == 1
 
 
+def test_every_evaluate_of_a_leaf_shares_one_checked_object(monkeypatch):
+    monkeypatch.setattr(buildspec, "_BUILT", {})
+    runs = []
+    battery = modular_data.validate
+
+    def counted(md):
+        runs.append(md)
+        return battery(md)
+
+    monkeypatch.setattr(modular_data, "validate", counted)
+    first, second = (evaluate(parse_spec("double:S3")) for _ in range(2))
+    assert first is second
+    for md in (first, second):
+        md.require_valid()
+    # a product and a mirror of the leaf pass on its one report
+    evaluate(parse_spec("prod(double:S3,rev(double:S3))")).require_valid()
+    assert runs == [first]
+
+
 def test_reused_leaves_take_the_callers_eps(monkeypatch):
     monkeypatch.delenv("MDK_EPS", raising=False)
     node = parse_spec("su2:3")
@@ -215,11 +235,10 @@ def test_reused_leaves_share_no_state(monkeypatch):
     monkeypatch.delenv("MDK_EPS", raising=False)
     node = parse_spec("tdouble:3:1")
     first = evaluate(node)
-    first.eps = 0.5
-    report = first.validation()
+    with pytest.raises(AttributeError):
+        first.eps = 0.5
     second = evaluate(node)
     assert second.eps == 1e-9
-    assert second.validation() is not report
 
 
 def test_construction_errors_are_not_cached(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdkit import (GROUP_PRESETS, PRESETS, DimensionMismatchError, MdkError,
                    ModularData, NonIntegralError, ValidationFailedError,
-                   central_charge,
+                   central_charge, commutant_basis,
                    charge_conjugation, cyclic, deligne_product, evaluate,
                    gauss_sum, parse_spec, pointed, preset, reverse, unit_root,
                    validate, verlinde_fusion)
@@ -599,3 +599,51 @@ def test_revalidating_a_relabeled_copy_finds_its_twists_cached(monkeypatch):
     moved = ModularData(md.S[np.ix_(p, p)], md.T[p], eps=md.eps)
     assert validate(moved).ok
     assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["su2:3", "prod(su2:3,preset:ising)",
+                                  "rev(su2:3)", "rev(prod(su2:3,preset:ising))"])
+@pytest.mark.parametrize("name", ["eps", "S", "T", "labels", "rank"])
+def test_modular_data_refuses_assignment(spec, name):
+    md = evaluate(parse_spec(spec))
+    before = getattr(md, name)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(md, name, before)
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(md, name)
+    assert getattr(md, name) is before
+
+
+def test_validate_records_the_report_the_analyses_read(monkeypatch):
+    runs = []
+    battery = modular_data.validate
+
+    def counted(md):
+        runs.append(md)
+        return battery(md)
+
+    monkeypatch.setattr(modular_data, "validate", counted)
+    md = pointed(cyclic(3), [1, unit_root(1, 3), unit_root(1, 3)])
+    report = modular_data.validate(md)
+    verlinde_fusion(md)
+    commutant_basis(md, md)
+    assert md.validation() is report
+    assert runs == [md]
+    # an explicit validate still runs the battery, and records anew
+    again = modular_data.validate(md)
+    assert again is not report and md.validation() is again
+    assert runs == [md, md]
+
+
+@pytest.mark.parametrize("spec", ["su2:3", "double:S3", "preset:ising",
+                                  "prod(su2:3,preset:ising)",
+                                  "prod(rev(su2:3),prod(preset:semion,su2:2))"])
+def test_mirror_equals_the_eager_conjugate_bit_for_bit(spec):
+    md = evaluate(parse_spec(spec))
+    rev = reverse(md)
+    assert "S" not in vars(rev)
+    eager = np.conj(md.S)  # the eager mirror, as the reference
+    assert rev.S.tobytes() == eager.tobytes()
+    assert not rev.S.flags.writeable
+    assert rev.dims.tobytes() == (eager[0] / eager[0, 0]).real.tobytes()
+    assert rev.labels == md.labels and rev.eps == md.eps
