@@ -162,7 +162,9 @@ def algebra_from_invariant(left: ModularData, right: ModularData,
     Lives in deligne_product(left, reverse(right)); the multiplicity of
     the (i, j) product object is Z_{ji}.  Appends a "maximal" verdict:
     |d(Gamma) - sqrt(dim L * dim R)| < 1e-6, the dimension every
-    invariant-induced algebra must attain.
+    invariant-induced algebra must attain.  Z is checked against S and T
+    unless ``enumerate_invariants`` returned it for this same pair of
+    objects.
     """
     Z = np.asarray(z.Z)
     if Z.shape != (right.rank, left.rank):
@@ -171,7 +173,9 @@ def algebra_from_invariant(left: ModularData, right: ModularData,
             f"({right.rank}, {left.rank})")
     if Z[0, 0] != 1 or Z.min() < 0:
         raise MdkError("invariant must be nonnegative with Z_00 = 1")
-    if not _intertwines(Z, left, right)[0]:
+    pair = z.verified_pair
+    if not (pair and pair[0] is left and pair[1] is right
+            or _intertwines(Z, left, right)[0]):
         raise MdkError("matrix does not intertwine the given data sets")
 
     host = _invariant_host(left, right)

@@ -22,7 +22,7 @@ over a common denominator) whenever the basis rationalizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -104,12 +104,20 @@ class CommutantBasis:
 
 @dataclass(frozen=True)
 class ModularInvariant:
-    """A verified nonnegative-integer intertwiner with Z_{00} = 1."""
+    """A verified nonnegative-integer intertwiner with Z_{00} = 1.
+
+    ``verified_pair`` is the (left, right) pair of data sets that
+    ``enumerate_invariants`` verified Z against, and None on an invariant
+    built by hand; it is no constructor argument and takes no part in
+    equality or repr.
+    """
 
     left_rank: int
     right_rank: int
     Z: np.ndarray
     kind: str
+    verified_pair: tuple | None = field(default=None, init=False,
+                                        compare=False, repr=False)
 
     def __post_init__(self):
         self.Z.setflags(write=False)
@@ -120,6 +128,13 @@ class ModularInvariant:
 # visits before the invariant falls through to "other".
 _NODE_CAP = 10 ** 8
 _GRAM_NODE_CAP = 100_000
+
+# Entries of one trial array of the invariant search (64 KB of int64):
+# the walk expands blocks of sibling nodes of about this size at once.
+_BLOCK_ENTRIES = 8192
+# Matrix entries of the found invariants checked against S and T in one
+# batched product (about 1 MB per complex temporary).
+_VERIFY_ENTRIES = 1 << 16
 
 
 def commutant_basis(left: ModularData,
@@ -280,60 +295,82 @@ def _coordinate_search(DB, scale, slack, boxes, caps):
     DB is the (m, P) basis, scaled by ``scale`` and in reduced-echelon
     form, so coordinate c_k is the entry at the k-th pivot and ranges
     over 0..boxes[k] (c_0 is fixed to 1).  After c_0, coordinates are
-    assigned greedily, first the one that settles the most entries.  Each
-    expansion adds v * DB[k] to the running entry vector for every
-    candidate v at once and keeps v only if every entry can still land
+    assigned greedily, first the one that settles the most entries.  The
+    walk is depth-first over blocks of sibling partial entry vectors: a
+    block of r vectors at depth t spends r * (boxes[t] + 1) values of the
+    budget, forms every v * DB[t] extension of each vector in one
+    broadcast, and keeps an extension only if every entry can still land
     in [0, caps] given the boxes of the unassigned coordinates, and every
     entry the assignment settles is a multiple of ``scale`` (within
-    ``slack``).  Returns the surviving entry vectors, unscaled.
+    ``slack``).  Survivors go back on the stack in blocks of about
+    _BLOCK_ENTRIES entries per trial array, first block on top.  Returns
+    the surviving entry vectors, unscaled, as a (k, P) array in
+    depth-first order.
     """
     m, P = DB.shape
     nonzero = DB != 0
     unset = nonzero.sum(axis=0)
-    order, settled, rest = [], [], list(range(1, m))
+    boxes = np.asarray(boxes)
+    order, settled, rest = [], [], np.arange(1, m)
     k = 0
     while True:
         settled.append(np.flatnonzero(nonzero[k] & (unset == 1)))
         order.append(k)
         unset = unset - nonzero[k]
-        if not rest:
+        if not rest.size:
             break
-        k = max(rest, key=lambda r: (
-            np.count_nonzero(nonzero[r] & (unset == 1)), -boxes[r]))
-        rest.remove(k)
+        # the first of the rest by most entries settled, then smallest box
+        gain = np.count_nonzero(nonzero[rest] & (unset == 1), axis=1)
+        i = np.argmax(gain * (boxes.max() + 1) - boxes[rest])
+        k, rest = rest[i], np.delete(rest, i)
     DB = DB[order]
-    boxes = np.asarray(boxes)[order, None]
+    boxes = boxes[order, None]
     hi = np.zeros((m + 1, P), DB.dtype)
     lo = np.zeros((m + 1, P), DB.dtype)
     hi[:m] = np.cumsum((np.maximum(DB, 0) * boxes)[::-1], axis=0)[::-1]
     lo[:m] = np.cumsum((np.minimum(DB, 0) * boxes)[::-1], axis=0)[::-1]
-    found = []
+    vals = [np.arange(1, 2)] + [np.arange(b + 1) for b in boxes[1:, 0]]
+    rows = [max(1, _BLOCK_ENTRIES // (P * v.size)) for v in vals]
+    # the stack holds, per depth, the survivors of one block of its parent
+    # depth: at most that block's trials, and at most one block's worth
+    # (_BLOCK_ENTRIES, or one row's P * (box + 1)) of entries
+    need, width = 0, 1
+    for v, r in zip(vals, rows):
+        need += min(r, width) * v.size * P
+        width *= v.size
+    check_bytes(need * DB.itemsize,
+                f"invariant search stack over {m} coordinates")
+    found = [np.zeros((0, P), DB.dtype)]
     budget = _Budget("invariant search", _NODE_CAP)
-
-    def expand(t, acc):
-        vals = np.arange(1, 2) if t == 0 else np.arange(boxes[t, 0] + 1)
-        budget.spend(vals.size)
-        trial = acc + vals[:, None] * DB[t]
+    stack = [(0, np.zeros((1, P), DB.dtype))]
+    while stack:
+        t, block = stack.pop()
+        budget.spend(len(block) * vals[t].size)
+        trial = (block[:, None, :]
+                 + vals[t][:, None] * DB[t]).reshape(-1, P)
         ok = ((trial + hi[t + 1] >= -slack)
               & (trial + lo[t + 1] <= caps + slack)).all(axis=1)
         if settled[t].size:
             rem = trial[:, settled[t]] % scale
             ok &= (np.minimum(rem, scale - rem) <= slack).all(axis=1)
-        for row in trial[ok]:
-            if t + 1 == m:
-                found.append(row // scale if slack == 0 else np.rint(row))
-            else:
-                expand(t + 1, row)
-
-    expand(0, np.zeros(P, DB.dtype))
-    return found
+        keep = trial[ok]
+        if t + 1 == m:
+            found.append(keep // scale if slack == 0 else np.rint(keep))
+            continue
+        r = rows[t + 1]
+        stack.extend((t + 1, keep[i:i + r])
+                     for i in reversed(range(0, len(keep), r)))
+    return np.concatenate(found)
 
 
 def _intertwines(Z: np.ndarray, left: ModularData, right: ModularData):
-    """(ok, S residual, T residual) of Z as an intertwiner of the pair."""
-    s_res = np.abs(Z @ left.S - right.S @ Z).max()
-    t_res = np.abs(Z * left.T[None, :] - right.T[:, None] * Z).max()
-    return max(s_res, t_res) <= max(left.eps, right.eps, 1e-9), s_res, t_res
+    """(ok, S residual, T residual) of Z as an intertwiner of the pair;
+    of each matrix, as arrays, when Z is a stack of matrices."""
+    Z = Z.astype(complex)  # once, not once per product
+    s_res = np.abs(Z @ left.S - right.S @ Z).max(axis=(-2, -1))
+    t_res = np.abs(Z * left.T - right.T[:, None] * Z).max(axis=(-2, -1))
+    ok = np.maximum(s_res, t_res) <= max(left.eps, right.eps, 1e-9)
+    return ok, s_res, t_res
 
 
 def enumerate_invariants(left: ModularData, right: ModularData | None = None
@@ -344,17 +381,23 @@ def enumerate_invariants(left: ModularData, right: ModularData | None = None
     commutant basis.  Each pivot coordinate of a solution equals the
     matrix entry at its pivot position, so it ranges over
     0..floor(d^L_i d^R_j + 1e-6), and the first pivot must be entry (0, 0)
-    with coordinate 1.  Each assignment costs one axpy on the running
-    entry vector; a branch is cut as soon as some entry can no longer
-    reach [0, floor(d^L_i d^R_j)] within the boxes of the unassigned
-    coordinates, or an entry no unassigned coordinate touches is not an
-    integer.  A rationalized basis is searched exactly, as an int64
-    matrix scaled by the common denominator of its entries; a float
-    basis (rationalization failed, or the scaled search could overflow
-    int64) is searched with 1e-6 integrality and bound slack.  Every
-    result is verified against S and T before it is returned.  Trying
-    more than _NODE_CAP (10^8) coordinate values raises
-    IncompleteEnumerationError rather than returning a partial list.
+    with coordinate 1.  The walk expands a block of sibling partial entry
+    vectors at a time: every value of the next coordinate is added to
+    every vector of the block in one broadcast, and a branch is cut as
+    soon as some entry can no longer reach [0, floor(d^L_i d^R_j)] within
+    the boxes of the unassigned coordinates, or an entry no unassigned
+    coordinate touches is not an integer.  A rationalized basis is
+    searched exactly, as an int64 matrix scaled by the common denominator
+    of its entries; a float basis (rationalization failed, or the scaled
+    search could overflow int64) is searched with 1e-6 integrality and
+    bound slack.  The results are verified against S and T in batched
+    products before they are returned, and each remembers the pair it
+    was verified against.  Trying more than _NODE_CAP (10^8) coordinate
+    values raises IncompleteEnumerationError rather than returning a
+    partial list; the block that passes the cap is counted whole, so the
+    error's ``nodes`` may exceed the cap by up to one block.  The
+    search's block stack is sized before the walk, and MdkError is raised
+    when it would pass ``numeric._BYTES_CAP``.
 
     Returns
     -------
@@ -382,17 +425,22 @@ def _invariants_in(cb: CommutantBasis, left: ModularData,
         caps = bounds.astype(float)
     found = _coordinate_search(DB, scale, slack, boxes, caps)
 
-    results = []
-    for vec in found:
-        Z = np.zeros((right.rank, left.rank), dtype=np.int64)
-        Z[js, is_] = vec
-        ok, s_res, t_res = _intertwines(Z, left, right)
-        if not ok:
+    Zs = np.zeros((len(found), right.rank, left.rank), dtype=np.int64)
+    Zs[:, js, is_] = found
+    Zs.setflags(write=False)
+    step = max(1, _VERIFY_ENTRIES // (right.rank * left.rank))
+    for start in range(0, len(Zs), step):
+        ok, s_res, t_res = _intertwines(Zs[start:start + step], left, right)
+        if not ok.all():
+            i = ok.argmin()
             raise MdkError(
                 f"enumeration produced a non-verifying candidate "
-                f"(S residual {s_res:.3g}, T residual {t_res:.3g})")
-        results.append(Z)
+                f"(S residual {s_res[i]:.3g}, T residual {t_res[i]:.3g})")
 
-    results.sort(key=lambda Z: (int(Z.sum()), tuple(Z.flatten().tolist())))
-    return [ModularInvariant(left.rank, right.rank, Z, _classify(Z))
+    results = sorted(Zs, key=lambda Z: (int(Z.sum()),
+                                        tuple(Z.flatten().tolist())))
+    invs = [ModularInvariant(left.rank, right.rank, Z, _classify(Z))
             for Z in results]
+    for z in invs:
+        object.__setattr__(z, "verified_pair", (left, right))
+    return invs

@@ -155,6 +155,79 @@ def test_algebra_from_invariant_rejects_garbage():
         algebra_from_invariant(fib, fib, bad)
 
 
+@pytest.fixture
+def intertwines_calls(monkeypatch):
+    calls = []
+    real = algebras._intertwines
+
+    def counted(Z, left, right):
+        calls.append((left, right))
+        return real(Z, left, right)
+
+    monkeypatch.setattr(algebras, "_intertwines", counted)
+    return calls
+
+
+def relabeled_copy(md, seed):
+    rng = np.random.default_rng(seed)
+    perm = np.concatenate(([0], 1 + rng.permutation(md.rank - 1)))
+    return ModularData(md.S[np.ix_(perm, perm)], md.T[perm],
+                       labels=[md.labels[i] for i in perm], eps=md.eps)
+
+
+@pytest.mark.parametrize("spec, seed", [
+    ("double:Z_5", 3),
+    ("tdouble:5:0", None),
+    ("prod(su2:4,su2:4)", 11),
+])
+def test_search_results_are_not_checked_twice(spec, seed,
+                                              intertwines_calls):
+    # as the benchmark's solve tasks do: search a pair, then build the
+    # algebra of each result for that same pair of objects
+    left = evaluate(parse_spec(spec))
+    right = left if seed is None else relabeled_copy(left, seed)
+    invs = enumerate_invariants(left, right)
+    cands = [algebra_from_invariant(left, right, z) for z in invs]
+    assert intertwines_calls == []
+    assert len(cands) == len(invs) > 1
+
+
+def test_another_pair_of_objects_is_checked_again(intertwines_calls):
+    md = evaluate(parse_spec("double:Z_3"))
+    invs = enumerate_invariants(md)
+    same = ModularData(md.S, md.T, labels=md.labels, eps=md.eps)
+    for z in invs:
+        algebra_from_invariant(md, same, z)
+    assert len(intertwines_calls) == len(invs)
+    assert all(r is same for _l, r in intertwines_calls)
+    # the relabeled copy moves objects, so some invariant of md is no
+    # intertwiner of (md, moved) and the check refuses it
+    moved = relabeled_copy(md, 5)
+    with pytest.raises(MdkError, match="intertwine"):
+        for z in invs:
+            algebra_from_invariant(md, moved, z)
+
+
+def test_hand_built_invariants_are_checked(intertwines_calls):
+    md = preset("toric_code")
+    z = enumerate_invariants(md)[-1]
+    copy = type(z)(z.left_rank, z.right_rank, z.Z, z.kind)
+    assert algebra_from_invariant(md, md, copy).mult == \
+        algebra_from_invariant(md, md, z).mult
+    assert len(intertwines_calls) == 1
+    # swap the two nontrivial bosons of one column only: nonnegative,
+    # Z_00 = 1, right shape, but no intertwiner
+    Z = np.eye(md.rank, dtype=np.int64)
+    Z[[1, 2], 1] = Z[[2, 1], 1]
+    bad = type(z)(md.rank, md.rank, Z, "other")
+    with pytest.raises(MdkError, match="intertwine"):
+        algebra_from_invariant(md, md, bad)
+    assert len(intertwines_calls) == 2
+    # only the search can mark an invariant verified
+    with pytest.raises(TypeError):
+        type(z)(md.rank, md.rank, Z, "other", (md, md))
+
+
 def test_witt_invariants_fibonacci():
     wi = witt_invariants(preset("fibonacci"))
     assert not wi.is_center_candidate

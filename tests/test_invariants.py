@@ -10,7 +10,7 @@ from mdkit import (IncompleteEnumerationError, ModularData, ModularInvariant,
                    classify_invariant, commutant_basis, enumerate_invariants,
                    MdkError, evaluate, parse_spec, preset, reverse,
                    su2_level)
-from mdkit import numeric
+from mdkit import invariants, numeric
 from mdkit.invariants import _classify, _coordinate_search
 
 
@@ -396,3 +396,112 @@ def test_oversized_commutant_is_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(numeric, "_BYTES_CAP", 10 ** 6)
     with pytest.raises(MdkError, match=r"needs about [\d,]+ MB, past the 1 MB cap"):
         commutant_basis(md)
+
+
+# Coordinate values an exhaustive search tries, and the invariants it
+# finds, as measured on the one-node-per-call walk this search replaced.
+SEARCH_TOTALS = [
+    ("su2:28", 48, 3),
+    ("double:S3", 507, 48),
+    ("double:Z_4", 573, 22),
+    ("tdouble:5:0", 181, 12),
+    ("prod(su2:4,su2:4)", 245, 13),
+    ("preset:toric_code", 23, 6),
+]
+
+
+@pytest.mark.parametrize("spec, total, count", SEARCH_TOTALS)
+def test_blocked_search_spends_the_node_walk_budget(spec, total, count,
+                                                    monkeypatch):
+    md = build(spec)
+    monkeypatch.setattr("mdkit.invariants._NODE_CAP", total)
+    assert len(enumerate_invariants(md)) == count
+    monkeypatch.setattr("mdkit.invariants._NODE_CAP", total - 1)
+    with pytest.raises(IncompleteEnumerationError) as exc:
+        enumerate_invariants(md)
+    assert exc.value.cap == total - 1
+
+
+def invariant_bytes(invs):
+    return [(z.Z.tobytes(), z.kind) for z in invs]
+
+
+@pytest.mark.parametrize("spec", ["double:S3", "double:Z_4",
+                                  "prod(su2:4,su2:4)"])
+@pytest.mark.parametrize("entries", [1, 10 ** 9])
+def test_block_size_does_not_change_the_answer(spec, entries, monkeypatch):
+    # one row per block, and one block per depth: the same invariants,
+    # and the search finds them in the same (depth-first) order
+    real = invariants._coordinate_search
+    found = []
+    monkeypatch.setattr(invariants, "_coordinate_search",
+                        lambda *args: found.append(real(*args)) or found[-1])
+    md = build(spec)
+    want = invariant_bytes(enumerate_invariants(md))
+    monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", entries)
+    assert invariant_bytes(enumerate_invariants(md)) == want
+    assert found[0].tobytes() == found[1].tobytes()
+
+
+def test_search_stack_is_refused_before_the_search(monkeypatch):
+    md = build("double:S3")
+    cb = commutant_basis(md)
+    spent = []
+
+    class Budget:
+        def __init__(self, *args):
+            pass
+
+        def spend(self, k=1):
+            spent.append(k)
+
+    monkeypatch.setattr("mdkit.invariants.commutant_basis", lambda *a: cb)
+    monkeypatch.setattr("mdkit.invariants._Budget", Budget)
+    monkeypatch.setattr(numeric, "_BYTES_CAP", 1000)
+    with pytest.raises(MdkError, match="invariant search stack"):
+        enumerate_invariants(md)
+    assert spent == []
+
+
+@pytest.mark.parametrize("entries", [1, 1 << 16])
+def test_batched_check_names_the_first_failing_candidate(entries,
+                                                         monkeypatch):
+    # two good candidates, then two bad ones: the error reports the
+    # residuals of the first bad one, as a one-at-a-time check would
+    md = preset("toric_code")
+    real = invariants._coordinate_search
+    found = []
+
+    def search(*args):
+        rows = real(*args)
+        bad = rows[:2].copy()
+        bad[0, 1] += 1
+        bad[1, 1] += 2
+        found.extend([rows[0], rows[1], bad[0], bad[1]])
+        return np.array(found)
+
+    monkeypatch.setattr(invariants, "_coordinate_search", search)
+    monkeypatch.setattr(invariants, "_VERIFY_ENTRIES", entries)
+    cb = commutant_basis(md)
+    js, is_ = np.array(cb.positions).T
+    Z = np.zeros((md.rank, md.rank), dtype=np.int64)
+    with pytest.raises(MdkError, match="non-verifying candidate") as exc:
+        enumerate_invariants(md)
+    Z[js, is_] = found[2]
+    _ok, s_res, t_res = invariants._intertwines(Z, md, md)
+    assert not _ok
+    assert str(exc.value).endswith(
+        f"(S residual {s_res:.3g}, T residual {t_res:.3g})")
+
+
+def test_search_results_are_read_only_and_remember_their_pair():
+    md = build("double:Z_3")
+    copy = ModularData(md.S, md.T, labels=md.labels, eps=md.eps)
+    invs = enumerate_invariants(md, copy)
+    assert all(z.verified_pair[0] is md and z.verified_pair[1] is copy
+               for z in invs)
+    assert all(not z.Z.flags.writeable for z in invs)
+    z = invs[0]
+    by_hand = ModularInvariant(z.left_rank, z.right_rank, z.Z, z.kind)
+    assert by_hand.verified_pair is None
+    assert by_hand == z and repr(by_hand) == repr(z)
