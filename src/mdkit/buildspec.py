@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SpecParseError, UnknownPresetError
-from .constructors import (PRESETS, drinfeld_double, pointed, preset,
-                           su2_level, twisted_double_cyclic)
+from .errors import SpecParseError
+from .constructors import (PRESETS, _SU2_LEVELS, _TDOUBLE_ORDERS,
+                           drinfeld_double, pointed, preset, su2_level,
+                           twisted_double_cyclic)
 from .groups import GROUP_PRESETS
 from .modular_data import ModularData, deligne_product, reverse
 from .numeric import checked_eps, default_eps
@@ -100,17 +101,19 @@ class _Parser:
             self.pos += 1
         return self.text[start:self.pos]
 
-    def integer(self, what: str, lo: int, hi: int):
+    def integer(self, what: str, values: range) -> int:
+        """A run of ASCII digits naming a member of values."""
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.fail([f"{what} (integer)"])
-        val = int(self.text[start:self.pos])
-        if not lo <= val <= hi:
+        digits = self.text[start:self.pos].lstrip("0") or "0"
+        # a run longer than the largest value is out of range; int() never sees it
+        if len(digits) > len(str(values[-1])) or int(digits) not in values:
             self.pos = start
-            self.fail([f"{what} in [{lo}, {hi}]"])
-        return val
+            self.fail([f"{what} in [{values[0]}, {values[-1]}]"])
+        return int(digits)
 
     def expect(self, ch: str):
         if self.pos >= len(self.text) or self.text[self.pos] != ch:
@@ -135,13 +138,11 @@ class _Parser:
             self.pos += len("preset:")
             name = self.token()
             if name not in PRESETS:
-                raise UnknownPresetError(
-                    f"unknown preset {name!r}; available: "
-                    f"{', '.join(PRESETS)}", available=PRESETS)
+                preset(name)  # raises UnknownPresetError
             return Preset(name)
         if t.startswith("su2:", self.pos):
             self.pos += len("su2:")
-            return Su2(self.integer("level k", 1, 32))
+            return Su2(self.integer("level k", _SU2_LEVELS))
         if t.startswith("double:", self.pos):
             self.pos += len("double:")
             name = self.token()
@@ -150,9 +151,9 @@ class _Parser:
             return Double(name)
         if t.startswith("tdouble:", self.pos):
             self.pos += len("tdouble:")
-            n = self.integer("n", 1, 12)
+            n = self.integer("n", _TDOUBLE_ORDERS)
             self.expect(":")
-            p = self.integer("p", 0, n - 1)
+            p = self.integer("p", range(n))
             return TDouble(n, p)
         if t.startswith("pointed:", self.pos):
             self.pos += len("pointed:")

@@ -34,6 +34,11 @@ _FIB_TAU = float("0.850650808352039932181540497063")    # phi/sqrt(2+phi)
 _COS_4PI_5 = float("-0.809016994374947424102293417183")
 _SIN_4PI_5 = float("0.587785252292473129168705954639")
 
+# The twisted-double orders n (twist index p in range(n)) and the SU(2)
+# levels that are built; build specs are parsed against the same ranges.
+_TDOUBLE_ORDERS = range(1, 13)
+_SU2_LEVELS = range(1, 33)
+
 
 class QuadraticForm:
     """A quadratic form q on a finite abelian group.
@@ -201,9 +206,10 @@ def twisted_double_cyclic(n: int, p: int, eps: float | None = None) -> ModularDa
     group is the plain Z_n x Z_n and the data matches the untwisted
     double of Z_n up to relabeling.)  Rank n^2.
     """
-    if not 1 <= n <= 12:
-        raise MdkError(f"twisted double supports 1 <= n <= 12, got n={n}")
-    if not 0 <= p < n:
+    if n not in _TDOUBLE_ORDERS:
+        raise MdkError(f"twisted double supports {_TDOUBLE_ORDERS[0]} <= n <= "
+                       f"{_TDOUBLE_ORDERS[-1]}, got n={n}")
+    if p not in range(n):
         raise MdkError(f"twist index must satisfy 0 <= p < n, got p={p}")
     size = n * n
     a1, j1, a2, j2 = np.ix_(*[np.arange(n)] * 4)
@@ -222,8 +228,9 @@ def su2_level(k: int, eps: float | None = None) -> ModularData:
     S_{ab} = sqrt(2/(k+2)) sin(pi (a+1)(b+1)/(k+2)),
     theta_a = e^{2 pi i a(a+2)/(4(k+2))}; central charge 3k/(k+2) mod 8.
     """
-    if not 1 <= k <= 32:
-        raise MdkError(f"su2 level must satisfy 1 <= k <= 32, got {k}")
+    if k not in _SU2_LEVELS:
+        raise MdkError(f"su2 level must satisfy {_SU2_LEVELS[0]} <= k <= "
+                       f"{_SU2_LEVELS[-1]}, got {k}")
     a = np.arange(k + 1)
     S = np.sqrt(2.0 / (k + 2)) * np.sin(
         np.pi * np.outer(a + 1, a + 1) / (k + 2)).astype(complex)
@@ -231,63 +238,37 @@ def su2_level(k: int, eps: float | None = None) -> ModularData:
     return ModularData(S, T, labels=[str(x) for x in a], eps=eps)
 
 
-def _preset_trivial():
-    return [[1.0]], [1.0], ["1"]
-
-
-def _preset_ising():
-    S = [[0.5, 0.5, _SQRT_HALF],
-         [0.5, 0.5, -_SQRT_HALF],
-         [_SQRT_HALF, -_SQRT_HALF, 0.0]]
-    T = [1.0, -1.0, complex(_COS_PI_8, _SIN_PI_8)]
-    return S, T, ["1", "psi", "sigma"]
-
-
-def _preset_fibonacci():
-    S = [[_FIB_UNIT, _FIB_TAU],
-         [_FIB_TAU, -_FIB_UNIT]]
-    T = [1.0, complex(_COS_4PI_5, _SIN_4PI_5)]
-    return S, T, ["1", "tau"]
-
-
-def _preset_toric_code():
-    S = (0.5 * np.array([[1, 1, 1, 1], [1, 1, -1, -1],
-                         [1, -1, 1, -1], [1, -1, -1, 1]])).tolist()
-    return S, [1.0, 1.0, 1.0, -1.0], ["1", "e", "m", "f"]
-
-
-def _preset_double_semion():
-    S = (0.5 * np.array([[1, 1, 1, 1], [1, 1, -1, -1],
-                         [1, -1, -1, 1], [1, -1, 1, -1]])).tolist()
-    return S, [1.0, 1.0, 1.0j, -1.0j], ["1", "b", "s", "sbar"]
-
-
-def _preset_semion():
-    S = [[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]]
-    return S, [1.0, 1.0j], ["1", "s"]
-
-
-_PRESET_BUILDERS = {
-    "trivial": _preset_trivial,
-    "ising": _preset_ising,
-    "fibonacci": _preset_fibonacci,
-    "toric_code": _preset_toric_code,
-    "double_semion": _preset_double_semion,
-    "semion": _preset_semion,
+# S, T and labels of each named data set
+_PRESET_DATA = {
+    "trivial": ([[1.0]], [1.0], ["1"]),
+    "ising": ([[0.5, 0.5, _SQRT_HALF],
+               [0.5, 0.5, -_SQRT_HALF],
+               [_SQRT_HALF, -_SQRT_HALF, 0.0]],
+              [1.0, -1.0, complex(_COS_PI_8, _SIN_PI_8)], ["1", "psi", "sigma"]),
+    "fibonacci": ([[_FIB_UNIT, _FIB_TAU],
+                   [_FIB_TAU, -_FIB_UNIT]],
+                  [1.0, complex(_COS_4PI_5, _SIN_4PI_5)], ["1", "tau"]),
+    "toric_code": ([[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, -0.5, -0.5],
+                    [0.5, -0.5, 0.5, -0.5], [0.5, -0.5, -0.5, 0.5]],
+                   [1.0, 1.0, 1.0, -1.0], ["1", "e", "m", "f"]),
+    "double_semion": ([[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, -0.5, -0.5],
+                       [0.5, -0.5, -0.5, 0.5], [0.5, -0.5, 0.5, -0.5]],
+                      [1.0, 1.0, 1.0j, -1.0j], ["1", "b", "s", "sbar"]),
+    "semion": ([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]],
+               [1.0, 1.0j], ["1", "s"]),
 }
 
-PRESETS = tuple(sorted(_PRESET_BUILDERS))
+PRESETS = tuple(sorted(_PRESET_DATA))
 
 
 def preset(name: str, eps: float | None = None) -> ModularData:
-    """Named standard data sets; see :data:`PRESETS` for the choices."""
+    """The named data set; one of :data:`PRESETS`, matched exactly."""
     try:
-        builder = _PRESET_BUILDERS[name]
+        S, T, labels = _PRESET_DATA[name]
     except KeyError:
         raise UnknownPresetError(
             f"unknown preset {name!r}; available: {', '.join(PRESETS)}",
             available=PRESETS) from None
-    S, T, labels = builder()
     return ModularData(S, T, labels=labels, eps=eps)
 
 

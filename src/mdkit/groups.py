@@ -9,6 +9,8 @@ which is adequate and simple at the supported scale (order <= 200).
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,72 +141,49 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     return group_from_table(table.reshape(a.order, nb, n).reshape(n, n))
 
 
-def _s3_table() -> np.ndarray:
-    perms = sorted(set([(0, 1, 2), (0, 2, 1), (1, 0, 2),
-                        (1, 2, 0), (2, 0, 1), (2, 1, 0)]))
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[q[x]] for x in range(3))]
-    return table
+def _cayley(elements, mul) -> FiniteGroup:
+    """The group that mul makes of elements, numbered in the order given."""
+    index = {e: i for i, e in enumerate(elements)}
+    return group_from_table([[index[mul(a, b)] for b in elements]
+                             for a in elements])
 
 
-def _d4_table() -> np.ndarray:
-    # r^i s^j, encoded i + 4j; s r s = r^{-1}
-    def enc(i, j):
-        return i % 4 + 4 * (j % 2)
-    table = np.zeros((8, 8), dtype=np.int64)
-    for i1 in range(4):
-        for j1 in range(2):
-            for i2 in range(4):
-                for j2 in range(2):
-                    i = i1 + (i2 if j1 == 0 else -i2)
-                    table[enc(i1, j1), enc(i2, j2)] = enc(i, j1 + j2)
-    return table
+def _hamilton(p, q):
+    """The product of two quaternions given as (1, i, j, k) coordinates."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
 
-def _q8_table() -> np.ndarray:
-    # 1, -1, i, -i, j, -j, k, -k
-    axes = {0: "1", 2: "i", 4: "j", 6: "k"}
-    prod = {("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
-            ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
-            ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
-            ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
-            ("i", "k"): (-1, "j")}
-    elems = [(s, ax) for ax in ("1", "i", "j", "k") for s in (1, -1)]
-    index = {e: i for i, e in enumerate(elems)}
-    table = np.zeros((8, 8), dtype=np.int64)
-    for a, (sa, xa) in enumerate(elems):
-        for b, (sb, xb) in enumerate(elems):
-            sp, xp = prod[(xa, xb)]
-            table[a, b] = index[(sa * sb * sp, xp)]
-    return table
+# Each preset group, by its exact name.  S3 is the sorted permutations of
+# (0, 1, 2); D4 numbers r^i s^j as i + 4j, with s r s = r^-1; Q8 is
+# ordered 1, -1, i, -i, j, -j, k, -k.
+_GROUP_BUILDERS = {
+    **{f"Z_{n}": functools.partial(cyclic, n) for n in range(1, 13)},
+    "S3": lambda: _cayley(sorted(itertools.permutations(range(3))),
+                          lambda p, q: tuple(p[x] for x in q)),
+    "D4": lambda: _cayley([(i, j) for j in range(2) for i in range(4)],
+                          lambda a, b: ((a[0] + (-1) ** a[1] * b[0]) % 4,
+                                        (a[1] + b[1]) % 2)),
+    "Q8": lambda: _cayley([tuple(s * x for x in e)
+                           for e in np.eye(4, dtype=int).tolist()
+                           for s in (1, -1)], _hamilton),
+}
 
-
-GROUP_PRESETS = tuple([f"Z_{n}" for n in range(1, 13)] + ["S3", "D4", "Q8"])
+GROUP_PRESETS = tuple(_GROUP_BUILDERS)
 
 
 def group_preset(name: str) -> FiniteGroup:
-    """Named small groups: Z_1..Z_12, S3, D4, Q8."""
-    if name.startswith("Z_"):
-        try:
-            n = int(name[2:])
-        except ValueError:
-            n = -1
-        if 1 <= n <= 12:
-            return cyclic(n)
-    if name == "S3":
-        return group_from_table(_s3_table())
-    if name == "D4":
-        return group_from_table(_d4_table())
-    if name == "Q8":
-        return group_from_table(_q8_table())
-    raise UnknownPresetError(
-        f"unknown group preset {name!r}; available: {', '.join(GROUP_PRESETS)}",
-        available=GROUP_PRESETS)
+    """Named small groups: Z_1..Z_12, S3, D4, Q8, matched exactly, so
+    "Z_05" names none (UnknownPresetError)."""
+    try:
+        build = _GROUP_BUILDERS[name]
+    except KeyError:
+        raise UnknownPresetError(
+            f"unknown group preset {name!r}; available: {', '.join(GROUP_PRESETS)}",
+            available=GROUP_PRESETS) from None
+    return build()
 
 
 @dataclass(frozen=True)

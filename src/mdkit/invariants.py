@@ -284,9 +284,14 @@ def classify_invariant(z: ModularInvariant) -> str:
     Block means Z = C^T C for some nonnegative-integer C whose first
     column is a unit vector; the decomposition search runs for ranks up
     to 12, larger matrices fall through to "other", and so does a matrix
-    whose search runs past its node cap.
+    whose search runs past its node cap.  Raises MdkError unless Z is a
+    matrix of nonnegative integer values.
     """
-    return _classify(np.asarray(z.Z))
+    Z = np.asarray(z.Z)
+    if (Z.ndim != 2 or Z.dtype.kind not in "iuf" or not np.isfinite(Z).all()
+            or (Z < 0).any() or (Z != np.round(Z)).any()):
+        raise MdkError("Z must be a matrix of nonnegative integer values")
+    return _classify(Z)
 
 
 def _coordinate_search(DB, scale, slack, boxes, caps):

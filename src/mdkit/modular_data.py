@@ -22,7 +22,7 @@ from .errors import (DimensionMismatchError, MdkError, NonIntegralError,
                      NonRationalChargeError, ValidationFailedError)
 from .numeric import (CHARGE_DENOMINATOR_CAP, INTEGER_EPS, TWIST_ORDER_CAP,
                       check_bytes, checked_eps, default_eps,
-                      _best_rational, _phase_root, permutation_from_matrix,
+                      _best_rational, _mix, _phase_root, permutation_from_matrix,
                       unit_root)
 
 __all__ = [
@@ -377,14 +377,6 @@ def _check_ring(N: np.ndarray) -> None:
 _KRYLOV_PRIME = 8388593
 
 
-def _splitmix64(i: int) -> int:
-    """Output i of the splitmix64 generator started from state 0."""
-    z = (i + 1) * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
-    z = (z ^ z >> 27) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
-    return z ^ z >> 31
-
-
 def _commutes_with_cyclic_element(M: np.ndarray) -> bool:
     """Steps 1 and 2 of :func:`_check_ring` on a commutative float64 M.
 
@@ -392,7 +384,9 @@ def _commutes_with_cyclic_element(M: np.ndarray) -> bool:
     cyclic.
     """
     n = M.shape[0]
-    c = np.array([(_splitmix64(i) >> 44) + 1 for i in range(n)], dtype=np.float64)
+    # outputs 0..n-1 of the splitmix64 generator started from state 0
+    z = _mix(np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15))
+    c = ((z >> np.uint64(44)) + np.uint64(1)).astype(np.float64)
     rows = M.reshape(n, n * n)  # [j, (y, l)] = (N_y)_jl, by commutativity
     X = (c @ rows).reshape(n, n)
     left = (X @ rows).reshape(n, n, n)  # [j, y, l] = (X N_y)_jl

@@ -134,10 +134,9 @@ def _group_from_doc(doc) -> FiniteGroup:
 
 def resolve_group(name_or_path: str) -> FiniteGroup:
     """A group from "preset:<name>", a bare preset name, or a JSON file."""
-    if name_or_path.startswith("preset:"):
-        return group_preset(name_or_path[len("preset:"):])
-    if name_or_path in GROUP_PRESETS:
-        return group_preset(name_or_path)
+    name = name_or_path.removeprefix("preset:")
+    if name != name_or_path or name in GROUP_PRESETS:
+        return group_preset(name)
     if not os.path.exists(name_or_path):
         raise MdkError(f"{name_or_path!r} is neither a group preset nor an "
                        f"existing file")

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mdkit import (MdkError, PRESETS, SpecParseError, ToleranceError,
                    UnknownPresetError,
@@ -58,7 +58,8 @@ def test_parse_unknown_prefix():
 
 @pytest.mark.parametrize("text", [
     "", "prod(su2:4)", "prod(su2:4,su2:6", "rev()", "preset:ising)extra",
-    "su2:4x",
+    "su2:4x", "su2:\u00b2", "tdouble:3:\u00b2",
+    pytest.param("su2:" + "7" * 5000, id="su2:7x5000"), "su2:\u0665",
 ])
 def test_parse_shape_errors(text):
     with pytest.raises(SpecParseError):
@@ -85,6 +86,26 @@ _specs = st.recursive(
 
 @given(_specs)
 def test_render_parse_round_trip(node):
+    assert parse_spec(render(node)) == node
+
+
+# spec-shaped text: grammar tokens, digits of other scripts, stray signs
+_spec_text = st.one_of(st.text(), st.lists(st.one_of(
+    st.sampled_from(["prod(", "rev(", "preset:", "su2:", "double:",
+                     "tdouble:", "pointed:", ",", ")", ":", "ising", "Z_",
+                     "S3", "-", "+", " ", "\u00b2", "\u0665", "/"]),
+    st.text(alphabet="0123456789", min_size=1, max_size=3)),
+    max_size=20).map("".join))
+
+
+@given(_spec_text)
+@example("su2:\u00b2")
+@example("su2:" + "7" * 5000)
+def test_any_text_parses_or_raises_mdk_error(text):
+    try:
+        node = parse_spec(text)
+    except MdkError:
+        return
     assert parse_spec(render(node)) == node
 
 

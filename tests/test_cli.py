@@ -148,6 +148,8 @@ def test_usage_errors_exit_2(argv):
     ("algebra", "from-invariant", "preset:fibonacci", "preset:fibonacci",
      "--index", "5"),
     ("build", "rev(" * 2000 + "preset:ising" + ")" * 2000),
+    ("build", "double:preset:Z_05"),
+    ("build", "su2:\u00b2"),
 ])
 def test_domain_errors_exit_1(argv):
     code, out, err = mdk(*argv)

@@ -1,11 +1,13 @@
 """Tests for the modular data constructors."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mdkit import (DegenerateFormError, MdkError, PRESETS, QuadraticForm,
+from mdkit import (DegenerateFormError, GROUP_PRESETS, MdkError, PRESETS,
+                   QuadraticForm,
                    UnknownPresetError, central_charge, cyclic, deligne_product,
                    direct_product, drinfeld_double,
                    equivalent_up_to_relabeling, gauss_sum,
@@ -27,6 +29,26 @@ def test_preset_names():
     with pytest.raises(UnknownPresetError) as exc:
         preset("isingg")
     assert tuple(exc.value.available) == PRESETS
+
+
+def test_presets_and_their_doubles_match_pinned_digest():
+    # every byte of each preset group table, and of S, T and the labels of
+    # its double and of each named preset; a changed element order, entry
+    # or last bit changes the digest
+    h = hashlib.sha256()
+    for name in GROUP_PRESETS:
+        t = group_preset(name).table
+        h.update(repr((name, t.dtype.str, t.shape)).encode() + t.tobytes())
+        md = drinfeld_double(group_preset(name))
+        h.update(repr((name, md.labels, md.S.dtype.str, md.T.dtype.str)).encode()
+                 + md.S.tobytes() + md.T.tobytes())
+    for name in PRESETS:
+        md = preset(name)
+        h.update(repr((name, md.labels, md.S.dtype.str, md.T.dtype.str)).encode()
+                 + md.S.tobytes() + md.T.tobytes())
+    assert GROUP_PRESETS == tuple([f"Z_{n}" for n in range(1, 13)]
+                                  + ["S3", "D4", "Q8"])
+    assert h.hexdigest()[:24] == "5cd6c11f2fa76b7673c263f2"
 
 
 def test_ising_entries():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from mdkit import (DegeneracyResolutionError, GROUP_PRESETS, MdkError,
-                   NotAGroupError, centralizer, character_table, cyclic,
-                   direct_product, group_from_table, group_preset)
+                   NotAGroupError, UnknownPresetError, centralizer,
+                   character_table, cyclic, direct_product, group_from_table,
+                   group_preset)
 
 
 def test_cyclic_group():
@@ -81,6 +82,14 @@ def test_presets_available():
     assert set(GROUP_PRESETS) >= {"Z_1", "Z_6", "Z_12", "S3", "D4", "Q8"}
     with pytest.raises(MdkError):
         group_preset("M24")
+
+
+@pytest.mark.parametrize("name", ["Z_05", "Z_ 3", "Z_+3", "Z_\u0663", "Z_13",
+                                  "s3", "Z_3 "])
+def test_preset_names_are_matched_exactly(name):
+    with pytest.raises(UnknownPresetError) as exc:
+        group_preset(name)
+    assert exc.value.available == GROUP_PRESETS
 
 
 @pytest.mark.parametrize("name, order, abelian", [

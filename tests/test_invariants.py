@@ -182,6 +182,21 @@ def test_invariant_is_frozen():
         z.Z[0, 0] = 5
 
 
+@pytest.mark.parametrize("Z", [[[1, 0], [0, -1]], [[1, 0.5], [0.5, 1]],
+                               [[1, 0], [0, 1.5]]])
+def test_classify_refuses_negative_or_fractional_entries(Z):
+    with pytest.raises(MdkError, match="nonnegative integer"):
+        classify_invariant(ModularInvariant(2, 2, np.array(Z), "other"))
+
+
+def test_classify_a_hand_built_invariant():
+    # Z = C^T C with C = [[1, 1]]: one block of two objects
+    Z = np.array([[1, 1], [1, 1]])
+    assert classify_invariant(ModularInvariant(2, 2, Z, "other")) == "block"
+    assert classify_invariant(ModularInvariant(2, 2, Z.astype(float),
+                                               "other")) == "block"
+
+
 def ciz_count(k):
     """Self-invariants of SU(2)_k in the Cappelli-Itzykson-Zuber ADE list:
     A only for odd k and k <= 2; A and D for even k >= 4; one more
