@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +20,7 @@ from .errors import (DimensionMismatchError, IncompleteEnumerationError,
 from .invariants import ModularInvariant, _intertwines
 from .modular_data import (Check, ModularData, central_charge,
                            deligne_product, gauss_sum, reverse)
+from .numeric import INTEGER_EPS
 
 __all__ = [
     "AlgebraCandidate", "screen_algebra", "local_modules_dim",
@@ -32,6 +33,8 @@ __all__ = [
 # Nodes a commutative-algebra candidate search (the Witt Lagrangian
 # search and the anisotropy screen) visits before it stops.
 _CANDIDATE_NODE_CAP = 10 ** 6
+# The local-quotient screen passes at dim C / d(Gamma)^2 >= 1 - this slack.
+_QUOTIENT_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,32 +65,6 @@ def _dimension_slack(md: ModularData) -> float:
     # float error in d(Gamma)^2 - dim scales with rank and dim
     u = float(np.finfo(float).eps)
     return md.eps + 16.0 * u * md.rank * max(1.0, md.global_dim)
-
-
-def _screen_verdicts(host: ModularData, mult: np.ndarray,
-                     lenient: bool) -> tuple[float, list[Check]]:
-    d = host.dims
-    dim = host.global_dim
-    dgamma = float(mult @ d)
-    verdicts = [Check("unit_multiplicity", True, 0.0)]
-
-    over = dgamma * dgamma - dim
-    verdicts.append(Check("dimension_bound", over <= _dimension_slack(host),
-                          max(0.0, over)))
-
-    support = np.flatnonzero(mult)
-    twist_res = float(np.abs(host.T[support] - 1.0).max()) if support.size else 0.0
-    verdicts.append(Check("trivial_twist_support", twist_res <= host.eps,
-                          twist_res, required=not lenient))
-
-    mult_res = float(np.max(mult - d)) if host.rank else 0.0
-    verdicts.append(Check("multiplicity_bound", mult_res <= 1e-6,
-                          max(0.0, mult_res), required=not lenient))
-
-    quotient = dim / (dgamma * dgamma)
-    verdicts.append(Check("local_quotient", quotient >= 1.0 - 1e-6,
-                          max(0.0, 1.0 - quotient)))
-    return dgamma, verdicts
 
 
 def _as_mult(host: ModularData, mult) -> np.ndarray:
@@ -129,7 +106,27 @@ def screen_algebra(host: ModularData, mult, *,
     """
     host.require_valid()
     vec = _as_mult(host, mult)
-    dgamma, verdicts = _screen_verdicts(host, vec, lenient)
+    d = host.dims
+    dim = host.global_dim
+    dgamma = float(vec @ d)
+    verdicts = [Check("unit_multiplicity", True, 0.0)]
+
+    over = dgamma * dgamma - dim
+    verdicts.append(Check("dimension_bound", over <= _dimension_slack(host),
+                          max(0.0, over)))
+
+    support = np.flatnonzero(vec)
+    twist_res = float(np.abs(host.T[support] - 1.0).max()) if support.size else 0.0
+    verdicts.append(Check("trivial_twist_support", twist_res <= host.eps,
+                          twist_res, required=not lenient))
+
+    mult_res = float(np.max(vec - d)) if host.rank else 0.0
+    verdicts.append(Check("multiplicity_bound", mult_res <= INTEGER_EPS,
+                          max(0.0, mult_res), required=not lenient))
+
+    quotient = dim / (dgamma * dgamma)
+    verdicts.append(Check("local_quotient", quotient >= 1.0 - _QUOTIENT_SLACK,
+                          max(0.0, 1.0 - quotient)))
     return AlgebraCandidate(host, tuple(vec.tolist()), dgamma, tuple(verdicts))
 
 
@@ -159,32 +156,27 @@ def algebra_from_invariant(left: ModularData, right: ModularData,
                            lenient: bool = False) -> AlgebraCandidate:
     """The product-category algebra candidate attached to an invariant.
 
-    Lives in deligne_product(left, reverse(right)); the multiplicity of
-    the (i, j) product object is Z_{ji}.  Appends a "maximal" verdict:
-    |d(Gamma) - sqrt(dim L * dim R)| < 1e-6, the dimension every
-    invariant-induced algebra must attain.  Z is checked against S and T
-    unless ``enumerate_invariants`` returned it for this same pair of
-    objects.
+    Lives in deligne_product(left, reverse(right)), and forms neither
+    that host's S nor the mirror's; the (i, j) multiplicity is Z_{ji}.
+    Z is checked against S and T unless ``enumerate_invariants``
+    returned it for this same pair of objects, then screened by
+    :func:`screen_algebra` (Z_00 = 1, no negative entry) plus a
+    "maximal" verdict: |d(Gamma) - sqrt(dim L * dim R)| < 1e-6, the
+    dimension every invariant-induced algebra attains.
     """
     Z = np.asarray(z.Z)
     if Z.shape != (right.rank, left.rank):
         raise DimensionMismatchError(
             f"invariant has shape {Z.shape}, expected "
             f"({right.rank}, {left.rank})")
-    if Z[0, 0] != 1 or Z.min() < 0:
-        raise MdkError("invariant must be nonnegative with Z_00 = 1")
     pair = z.verified_pair
     if not (pair and pair[0] is left and pair[1] is right
             or _intertwines(Z, left, right)[0]):
         raise MdkError("matrix does not intertwine the given data sets")
-
-    host = _invariant_host(left, right)
-    vec = _as_mult(host, Z.T.flatten())
-    dgamma, verdicts = _screen_verdicts(host, vec, lenient)
-    target = math.sqrt(left.global_dim * right.global_dim)
-    res = abs(dgamma - target)
-    verdicts.append(Check("maximal", res < 1e-6, res))
-    return AlgebraCandidate(host, tuple(vec.tolist()), dgamma, tuple(verdicts))
+    c = screen_algebra(_invariant_host(left, right), Z.T.flatten(),
+                       lenient=lenient)
+    res = abs(c.dim_gamma - math.sqrt(left.global_dim * right.global_dim))
+    return replace(c, verdicts=c.verdicts + (Check("maximal", res < 1e-6, res),))
 
 
 @dataclass(frozen=True)
@@ -219,7 +211,7 @@ def _candidate_vectors(md: ModularData, lo: float, hi: float):
     d = md.dims
     live = [i for i in range(1, md.rank) if abs(md.T[i] - 1.0) <= md.eps]
     live.sort(key=lambda i: -d[i])
-    bounds = [int(math.floor(d[i] + 1e-6)) for i in live]
+    bounds = [int(math.floor(d[i] + INTEGER_EPS)) for i in live]
     suffix = [0.0] * (len(live) + 1)
     for k in range(len(live) - 1, -1, -1):
         suffix[k] = suffix[k + 1] + bounds[k] * d[live[k]]
@@ -335,7 +327,7 @@ def anisotropy_screen(md: ModularData) -> AnisotropyReport:
     """
     md.require_valid()
     dim = md.global_dim
-    hi = math.sqrt(min(dim + _dimension_slack(md), dim / (1.0 - 1e-6)))
+    hi = math.sqrt(min(dim + _dimension_slack(md), dim / (1.0 - _QUOTIENT_SLACK)))
     found = sorted(_candidate_vectors(md, 0.0, hi), key=lambda t: (sum(t), t))
     nontrivial = tuple(t for t in found if sum(t[1:]) > 0)
     return AnisotropyReport(md.rank, tuple(found), nontrivial,

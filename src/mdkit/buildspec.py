@@ -175,7 +175,10 @@ class _Parser:
 def parse_spec(text: str) -> BuildSpec:
     """Parse a build-spec string; see the module grammar."""
     parser = _Parser(text)
-    node = parser.spec()
+    try:
+        node = parser.spec()
+    except RecursionError:
+        parser.fail(["fewer nested prod( and rev("])
     if parser.pos != len(text):
         parser.fail(["end of input"])
     return node

@@ -8,9 +8,6 @@ relabeling matcher used to compare outputs of different constructors.
 
 from __future__ import annotations
 
-import cmath
-import math
-
 import numpy as np
 
 from .errors import (DegenerateFormError, DimensionMismatchError, MdkError,
@@ -18,7 +15,8 @@ from .errors import (DegenerateFormError, DimensionMismatchError, MdkError,
 from .groups import (FiniteGroup, centralizer, character_table, cyclic,
                      group_from_table)
 from .modular_data import ModularData
-from .numeric import _mix, checked_eps, default_eps, unit_root
+from .numeric import (TWIST_ORDER_CAP, _mix, _phase_root, checked_eps,
+                      default_eps, unit_root)
 
 __all__ = [
     "QuadraticForm", "pointed", "drinfeld_double", "twisted_double_cyclic",
@@ -131,8 +129,8 @@ def drinfeld_double(G: FiniteGroup, *, eps: float | None = None) -> ModularData:
     """Untwisted double of a finite group.
 
     Simple objects are pairs (conjugacy class [a], irreducible character
-    chi of the centralizer of a), labeled "([a],row)".  Twists are
-    chi(a)/chi(e); the S matrix is
+    chi of the centralizer of a), labeled "([a],row)".  Twists chi(a)/chi(e)
+    snap to the root of unity within 1e-8 that `validate` finds; S is
 
         S = 1/(|C(a)||C(b)|) * sum over x in G with a.(x b x^-1) commuting
             of conj(chi(x b x^-1)) * conj(rho(x^-1 a x)).
@@ -155,18 +153,14 @@ def drinfeld_double(G: FiniteGroup, *, eps: float | None = None) -> ModularData:
     for ci, a in enumerate(reps):
         chart = charts[ci]
         a_cls = sub_class[ci][a]
-        m, y = 1, a
-        while y != 0:
-            y, m = int(G.table[y, a]), m + 1
         for row in range(chart.values.shape[0]):
             labels.append(f"([{a}],{row})")
             theta = complex(chart.values[row, a_cls]) / chart.degrees[row]
             # a is central in its centralizer, so it acts as a scalar on
             # each irreducible and theta is an exact ord(a)-th root of
             # unity; snap away the eigensolver noise
-            k = round(cmath.phase(theta) / (2 * math.pi) * m) % m
-            root = unit_root(k, m)
-            twists.append(root if abs(theta - root) < 1e-8 else theta)
+            hit = _phase_root(theta, TWIST_ORDER_CAP, 1e-8)
+            twists.append(theta if hit is None else hit[2])
     rank = len(labels)
 
     S = np.zeros((rank, rank), dtype=complex)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import MdkError, SearchBudgetError, _Budget
 from .modular_data import ModularData
-from .numeric import check_bytes, rationalize, rref
+from .numeric import INTEGER_EPS, check_bytes, rationalize, rref
 
 __all__ = [
     "CommutantBasis", "ModularInvariant", "commutant_basis",
@@ -419,14 +419,14 @@ def _invariants_in(cb: CommutantBasis, left: ModularData,
     if cb.dimension == 0 or cb.positions[cb.pivots[0]] != (0, 0):
         return []  # every element of the commutant has Z_00 = 0
     js, is_ = np.array(cb.positions).T
-    bounds = np.floor(left.dims[is_] * right.dims[js] + 1e-6).astype(np.int64)
+    bounds = np.floor(left.dims[is_] * right.dims[js] + INTEGER_EPS).astype(np.int64)
     boxes = bounds[list(cb.pivots)]
     widest = int(np.abs(cb.coords).max())
     if cb.rationalized and widest * int(bounds.sum()) < 2 ** 62:
         DB, scale, slack = cb.coords, cb.denominator, 0
         caps = scale * bounds
     else:
-        DB, scale, slack = cb.coords / cb.denominator, 1.0, 1e-6
+        DB, scale, slack = cb.coords / cb.denominator, 1.0, INTEGER_EPS
         caps = bounds.astype(float)
     found = _coordinate_search(DB, scale, slack, boxes, caps)
 

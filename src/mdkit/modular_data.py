@@ -124,12 +124,17 @@ class ModularData:
         raise AttributeError(f"ModularData is immutable: cannot delete {name!r}")
 
     @functools.cached_property
+    def _row0(self) -> np.ndarray:
+        """Row 0 of S; products and mirrors form it without forming S."""
+        return self.S[0]
+
+    @functools.cached_property
     def dims(self) -> np.ndarray:
         """Quantum dimensions d_i = S_{0i}/S_{00} (real parts).
 
         Computed once per object and returned read-only, like S and T.
         """
-        dims = (self.S[0] / self.S[0, 0]).real
+        dims = (self._row0 / self._row0[0]).real
         dims.setflags(write=False)
         return dims
 
@@ -205,8 +210,7 @@ def validate(md: ModularData) -> ValidationReport:
     checks.append(Check("row0_positive", positive, r))
 
     if positive:
-        dim = float(((row / S[0, 0]).real ** 2).sum())
-        r = float(abs(S[0, 0] - 1 / math.sqrt(dim)))
+        r = float(abs(S[0, 0] - 1 / math.sqrt(md.global_dim)))
     else:
         r = math.inf
     checks.append(Check("s00_normalization", r < eps, r))
@@ -228,7 +232,7 @@ def validate(md: ModularData) -> ValidationReport:
     r = float(np.abs(S2 - np.round(S2.real)).max())
     checks.append(Check("s2_permutation", perm is not None, r))
 
-    dims = (row / S[0, 0]).real if positive else np.ones(n)
+    dims = md.dims if positive else np.ones(n)
     tau = complex((dims ** 2 * T).sum())
     if abs(tau) > 0:
         phase = tau / abs(tau)
@@ -487,18 +491,20 @@ class _DeligneProduct(ModularData):
 
     Algebra screens and Witt invariants on a product read only its
     dimensions and twists, so the (rank_a rank_b)^2 S matrix is never
-    built for them.  Once formed, S equals the eager ``np.kron(a.S,
-    b.S)`` bit for bit, and so do the dimensions, taken from the
-    Kronecker product of the factors' first rows.
+    built for them, nor the S of a mirror factor: row 0 of S is the
+    Kronecker product of the factors' rows 0.  T and that row, 32 bytes
+    per object, are checked against ``numeric._BYTES_CAP`` first.  S,
+    once formed, equals ``np.kron(a.S, b.S)`` bit for bit.
     """
 
     _inherits_gate = True
 
     def __init__(self, a: ModularData, b: ModularData):
+        rank = a.rank * b.rank
+        check_bytes(32 * rank, f"product at rank {rank}")
         T = np.kron(a.T, b.T)
         T.setflags(write=False)
-        vars(self).update(_factors=(a, b), T=T, rank=a.rank * b.rank,
-                          eps=max(a.eps, b.eps))
+        vars(self).update(_factors=(a, b), T=T, rank=rank, eps=max(a.eps, b.eps))
 
     @functools.cached_property
     def labels(self) -> tuple[str, ...]:
@@ -514,12 +520,9 @@ class _DeligneProduct(ModularData):
         return S
 
     @functools.cached_property
-    def dims(self) -> np.ndarray:
+    def _row0(self) -> np.ndarray:
         a, b = self._factors
-        row = np.kron(a.S[0], b.S[0])
-        dims = (row / row[0]).real
-        dims.setflags(write=False)
-        return dims
+        return np.kron(a._row0, b._row0)
 
 
 def reverse(md: ModularData) -> ModularData:
@@ -536,11 +539,11 @@ def reverse(md: ModularData) -> ModularData:
 class _Reverse(ModularData):
     """The mirror of gated data, whose S is conjugated on first use.
 
-    Its dimensions are those of the original, so the mirror of a
-    Deligne product, like the product itself, answers screens that read
-    only dimensions and twists without forming S.  The conjugate is
-    taken of the original's S itself, never rebuilt from factors: that
-    keeps its signed zeros, and so the bytes of every serialization.
+    Row 0 of its S is the conjugate of the original's, formed without
+    either S, so a mirror, alone or as a product factor, answers screens
+    that read only dimensions and twists without forming S.  The
+    conjugate S is taken of the original's S, never rebuilt from factors:
+    that keeps its signed zeros, and so the bytes of every serialization.
     """
 
     _inherits_gate = True
@@ -558,8 +561,8 @@ class _Reverse(ModularData):
         return S
 
     @functools.cached_property
-    def dims(self) -> np.ndarray:
-        return self._inner.dims
+    def _row0(self) -> np.ndarray:
+        return np.conj(self._inner._row0)
 
 
 def charge_conjugation(md: ModularData) -> list[int]:

@@ -1,5 +1,6 @@
 """Tests for algebra screening, Witt invariants and anisotropy."""
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -228,6 +229,27 @@ def test_hand_built_invariants_are_checked(intertwines_calls):
         type(z)(md.rank, md.rank, Z, "other", (md, md))
 
 
+@pytest.mark.parametrize("scale, message", [(2, "n_0 must be 1"),
+                                             (-1, "nonnegative")])
+def test_hand_built_multiples_of_the_identity_are_refused(scale, message):
+    # both intertwine, so the screen of the multiplicities refuses them
+    md = preset("ising")
+    z = enumerate_invariants(md)[0]
+    bad = type(z)(md.rank, md.rank, scale * np.eye(md.rank, dtype=np.int64),
+                  "other")
+    with pytest.raises(MdkError, match=message):
+        algebra_from_invariant(md, md, bad)
+
+
+def test_algebra_from_invariant_forms_no_mirror_s():
+    # the host's dimensions come from its factors' first rows, and the
+    # mirrored factor conjugates the first row of the right-hand side
+    md = su2_level(10)
+    for z in enumerate_invariants(md):
+        c = algebra_from_invariant(md, md, z)
+        assert "S" not in vars(c.host._factors[1])
+
+
 def test_witt_invariants_fibonacci():
     wi = witt_invariants(preset("fibonacci"))
     assert not wi.is_center_candidate
@@ -336,6 +358,19 @@ def test_witt_of_a_reversed_product_never_forms_the_product_s():
     assert wi == witt_invariants(same)
 
 
+def test_witt_of_a_product_with_a_mirrored_product_forms_no_s():
+    # rank 20 736: reading the mirror factor's first row off its S would
+    # form the product's S, which is refused at the bytes cap
+    md = evaluate(parse_spec(
+        "prod(preset:trivial,rev(prod(double:Z_12,double:Z_12)))"))
+    start = time.perf_counter()
+    wi = witt_invariants(md)
+    assert time.perf_counter() - start < 1.0
+    mirror = md._factors[1]
+    assert all("S" not in vars(x) for x in (md, mirror, mirror._inner))
+    assert wi == witt_invariants(mirror)
+
+
 def test_anisotropy_fibonacci():
     rep = anisotropy_screen(preset("fibonacci"))
     assert rep.anisotropic
@@ -381,3 +416,22 @@ def test_anisotropy_candidates_are_the_screened_enumeration(spec, eps):
                    if screen_algebra(md, v).passes),
                   key=lambda t: (sum(t), t))
     assert anisotropy_screen(md).candidates == tuple(want)
+
+
+def test_invariant_algebras_match_pinned_digest():
+    # multiplicities, d(Gamma) and every verdict, to the last bit of each
+    # residual, of the algebra of every invariant of these pairs
+    pairs = [(s, s) for s in ("su2:10", "su2:28", "double:Z_5", "tdouble:5:0",
+                              "prod(su2:4,su2:4)")]
+    pairs.append(("preset:toric_code", "preset:double_semion"))
+    h = hashlib.sha256()
+    for specs in pairs:
+        left, right = (evaluate(parse_spec(s)) for s in specs)
+        for z in enumerate_invariants(left, right):
+            for lenient in (False, True):
+                c = algebra_from_invariant(left, right, z, lenient=lenient)
+                h.update(repr((specs, lenient, c.mult, [
+                    (v.name, v.passed, v.required) for v in c.verdicts])).encode()
+                    + np.float64(c.dim_gamma).tobytes()
+                    + np.array([v.residual for v in c.verdicts]).tobytes())
+    assert h.hexdigest()[:24] == "df0af8af180d26c42d077c08"

@@ -101,6 +101,7 @@ _spec_text = st.one_of(st.text(), st.lists(st.one_of(
 @given(_spec_text)
 @example("su2:\u00b2")
 @example("su2:" + "7" * 5000)
+@example("rev(" * 2000 + "su2:3" + ")" * 2000)
 def test_any_text_parses_or_raises_mdk_error(text):
     try:
         node = parse_spec(text)

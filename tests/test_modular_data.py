@@ -647,3 +647,44 @@ def test_mirror_equals_the_eager_conjugate_bit_for_bit(spec):
     assert not rev.S.flags.writeable
     assert rev.dims.tobytes() == (eager[0] / eager[0, 0]).real.tobytes()
     assert rev.labels == md.labels and rev.eps == md.eps
+
+
+def test_a_product_checks_its_bytes_before_forming_t(monkeypatch):
+    # T and row 0 of the rank-256 product take 8 192 bytes, past the
+    # lowered cap; the leaves and the rank-16 factors fit under it
+    monkeypatch.setattr(numeric, "_BYTES_CAP", 4096)
+    inner = evaluate(parse_spec("prod(su2:3,su2:3)"))
+
+    def kron(*args):
+        raise AssertionError("np.kron ran before the bytes check")
+
+    monkeypatch.setattr(np, "kron", kron)
+    with pytest.raises(MdkError, match="product at rank 256 needs"):
+        deligne_product(inner, inner)
+
+
+def _dims_specs():
+    base = ([f"preset:{p}" for p in PRESETS]
+            + [f"su2:{k}" for k in range(1, 33)]
+            + [f"double:{g}" for g in GROUP_PRESETS]
+            + [f"tdouble:{n}:{p}" for n in range(1, 13) for p in range(n)])
+    small = ["preset:ising", "preset:fibonacci", "preset:toric_code", "su2:2",
+             "su2:5", "double:S3", "tdouble:3:1"]
+    return (base + [f"rev({s})" for s in base]
+            + [form.format(a=a, b=b) for a in small for b in small
+               for form in ("prod({a},{b})", "prod({a},rev({b}))",
+                            "rev(prod({a},{b}))",
+                            "prod(rev({a}),prod({b},rev({a})))")])
+
+
+def test_dims_and_global_dims_match_pinned_digest():
+    # every byte of the dimensions and the global dimension of each
+    # family member, its mirror, and products and mirrors nested both ways
+    specs = _dims_specs()
+    assert len(specs) == len(set(specs)) == 458
+    h = hashlib.sha256()
+    for spec in specs:
+        md = evaluate(parse_spec(spec))
+        h.update(repr((spec, md.dims.dtype.str, md.dims.shape)).encode()
+                 + md.dims.tobytes() + np.float64(md.global_dim).tobytes())
+    assert h.hexdigest()[:24] == "761df8eba183654cb0c8bd44"
