@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -105,29 +105,53 @@ def screen_algebra(host: ModularData, mult, *,
     algebra exists.
     """
     host.require_valid()
-    vec = _as_mult(host, mult)
+    return _candidate(host, *_screens(host, _as_mult(host, mult)[None],
+                                      lenient), 0)
+
+
+def _screens(host: ModularData, rows: np.ndarray, lenient: bool,
+             target: float | None = None):
+    """d(Gamma) and the verdicts of `screen_algebra` of each row of a
+    (k, rank) stack of checked multiplicity vectors; with a target, also
+    the "maximal" verdict |d(Gamma) - target| < 1e-6.
+
+    Each d(Gamma) is its own row's dot product, so it has the bits a
+    single vector gets; every other step is elementwise on the stack.
+    Returns the rows, then d(Gamma) and each verdict's (name, passed,
+    residual, required) with one list entry per row, for `_candidate`.
+    """
     d = host.dims
     dim = host.global_dim
-    dgamma = float(vec @ d)
-    verdicts = [Check("unit_multiplicity", True, 0.0)]
-
+    dgamma = np.array([float(v @ d) for v in rows])
     over = dgamma * dgamma - dim
-    verdicts.append(Check("dimension_bound", over <= _dimension_slack(host),
-                          max(0.0, over)))
-
-    support = np.flatnonzero(vec)
-    twist_res = float(np.abs(host.T[support] - 1.0).max()) if support.size else 0.0
-    verdicts.append(Check("trivial_twist_support", twist_res <= host.eps,
-                          twist_res, required=not lenient))
-
-    mult_res = float(np.max(vec - d)) if host.rank else 0.0
-    verdicts.append(Check("multiplicity_bound", mult_res <= INTEGER_EPS,
-                          max(0.0, mult_res), required=not lenient))
-
+    twist = np.where(rows > 0, np.abs(host.T - 1.0), 0.0).max(axis=1)
+    mult = (rows - d).max(axis=1)
     quotient = dim / (dgamma * dgamma)
-    verdicts.append(Check("local_quotient", quotient >= 1.0 - _QUOTIENT_SLACK,
-                          max(0.0, 1.0 - quotient)))
-    return AlgebraCandidate(host, tuple(vec.tolist()), dgamma, tuple(verdicts))
+    k = len(rows)
+    screens = [
+        ("unit_multiplicity", np.ones(k, bool), np.zeros(k), True),
+        ("dimension_bound", over <= _dimension_slack(host),
+         np.maximum(0.0, over), True),
+        ("trivial_twist_support", twist <= host.eps, twist, not lenient),
+        ("multiplicity_bound", mult <= INTEGER_EPS, np.maximum(0.0, mult),
+         not lenient),
+        ("local_quotient", quotient >= 1.0 - _QUOTIENT_SLACK,
+         np.maximum(0.0, 1.0 - quotient), True),
+    ]
+    if target is not None:
+        res = np.abs(dgamma - target)
+        screens.append(("maximal", res < 1e-6, res, True))
+    return (rows, dgamma.tolist(),
+            [(name, ok.tolist(), res.tolist(), required)
+             for name, ok, res, required in screens])
+
+
+def _candidate(host, rows, dgamma, screens, k) -> AlgebraCandidate:
+    """A new candidate for row k of a `_screens` stack."""
+    return AlgebraCandidate(
+        host, tuple(rows[k].tolist()), dgamma[k],
+        tuple(Check(name, ok[k], res[k], required)
+              for name, ok, res, required in screens))
 
 
 def local_modules_dim(c: AlgebraCandidate) -> float:
@@ -158,11 +182,17 @@ def algebra_from_invariant(left: ModularData, right: ModularData,
 
     Lives in deligne_product(left, reverse(right)), and forms neither
     that host's S nor the mirror's; the (i, j) multiplicity is Z_{ji}.
-    Z is checked against S and T unless ``enumerate_invariants``
-    returned it for this same pair of objects, then screened by
-    :func:`screen_algebra` (Z_00 = 1, no negative entry) plus a
-    "maximal" verdict: |d(Gamma) - sqrt(dim L * dim R)| < 1e-6, the
-    dimension every invariant-induced algebra attains.
+    The verdicts are those of :func:`screen_algebra` plus a "maximal"
+    verdict: |d(Gamma) - sqrt(dim L * dim R)| < 1e-6, the dimension every
+    invariant-induced algebra attains.
+
+    An invariant that ``enumerate_invariants`` returned for this same
+    pair of objects is not checked again: the first such call for one
+    search and ``lenient`` value screens the search's whole stack of
+    invariants at once and keeps the verdicts with that search (never on
+    the data or in a global cache), and each call reads its own row of
+    them into a new candidate.  Any other Z is checked against S and T,
+    then screened alone (Z_00 = 1, no negative entry).
     """
     Z = np.asarray(z.Z)
     if Z.shape != (right.rank, left.rank):
@@ -170,13 +200,20 @@ def algebra_from_invariant(left: ModularData, right: ModularData,
             f"invariant has shape {Z.shape}, expected "
             f"({right.rank}, {left.rank})")
     pair = z.verified_pair
-    if not (pair and pair[0] is left and pair[1] is right
-            or _intertwines(Z, left, right)[0]):
+    verified = pair and pair[0] is left and pair[1] is right
+    if not (verified or _intertwines(Z, left, right)[0]):
         raise MdkError("matrix does not intertwine the given data sets")
-    c = screen_algebra(_invariant_host(left, right), Z.T.flatten(),
-                       lenient=lenient)
-    res = abs(c.dim_gamma - math.sqrt(left.global_dim * right.global_dim))
-    return replace(c, verdicts=c.verdicts + (Check("maximal", res < 1e-6, res),))
+    host = _invariant_host(left, right)
+    target = math.sqrt(left.global_dim * right.global_dim)
+    if not verified:
+        rows = _as_mult(host, Z.T.flatten())[None]
+        return _candidate(host, *_screens(host, rows, lenient, target), 0)
+    found, k = z._found
+    stack = found.screens.get(lenient)
+    if stack is None:
+        rows = found.Z.transpose(0, 2, 1).reshape(len(found.Z), -1)
+        stack = found.screens[lenient] = _screens(host, rows, lenient, target)
+    return _candidate(host, *stack, k)
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,28 @@ def parse_spec(text: str) -> BuildSpec:
 
 
 def render(spec: BuildSpec) -> str:
-    """Canonical string form; parse_spec(render(x)) == x."""
+    """Canonical string form; parse_spec(render(x)) == x.
+
+    Walks the tree with an explicit stack, so no nesting depth is too
+    deep for it.
+    """
+    parts, stack = [], [(spec, 0)]
+    while stack:
+        node, seen = stack.pop()  # seen: children of node already rendered
+        if isinstance(node, Prod):
+            parts.append(("prod(", ",", ")")[seen])
+            if seen < 2:
+                stack += [(node, seen + 1), ((node.left, node.right)[seen], 0)]
+        elif isinstance(node, Rev):
+            parts.append(("rev(", ")")[seen])
+            if not seen:
+                stack += [(node, 1), (node.inner, 0)]
+        else:
+            parts.append(_leaf_text(node))
+    return "".join(parts)
+
+
+def _leaf_text(spec: BuildSpec) -> str:
     if isinstance(spec, Preset):
         return f"preset:{spec.name}"
     if isinstance(spec, Su2):
@@ -196,10 +217,6 @@ def render(spec: BuildSpec) -> str:
         return f"tdouble:{spec.n}:{spec.p}"
     if isinstance(spec, Pointed):
         return f"pointed:{spec.path}"
-    if isinstance(spec, Prod):
-        return f"prod({render(spec.left)},{render(spec.right)})"
-    if isinstance(spec, Rev):
-        return f"rev({render(spec.inner)})"
     if isinstance(spec, File):
         return spec.path
     raise TypeError(f"not a build spec: {spec!r}")
@@ -231,15 +248,32 @@ def evaluate(spec: BuildSpec, eps: float | None = None) -> ModularData:
     the larger of its factors'), which every analysis of it reads; it
     must be a finite number > 0 (ToleranceError otherwise).  A file
     document is parsed here but, like every other leaf, validated at
-    first use.
+    first use.  The tree is walked with an explicit stack, left before
+    right, so no nesting depth is too deep for it.
     """
     if eps is not None:
         eps = checked_eps(eps)
-    if isinstance(spec, Prod):
-        return deligne_product(evaluate(spec.left, eps=eps),
-                               evaluate(spec.right, eps=eps))
-    if isinstance(spec, Rev):
-        return reverse(evaluate(spec.inner, eps=eps))
+    done, stack = [], [(spec, False)]
+    while stack:
+        node, ready = stack.pop()  # ready: its inputs are on top of done
+        if isinstance(node, Prod):
+            if ready:
+                right = done.pop()
+                done.append(deligne_product(done.pop(), right))
+            else:
+                stack += [(node, True), (node.right, False), (node.left, False)]
+        elif isinstance(node, Rev):
+            if ready:
+                done.append(reverse(done.pop()))
+            else:
+                stack += [(node, True), (node.inner, False)]
+        else:
+            done.append(_leaf(node, eps))
+    return done[0]
+
+
+def _leaf(spec: BuildSpec, eps: float | None) -> ModularData:
+    """The data of one leaf: shared when built in, else built anew."""
     if not _built_in(spec):
         return _build(spec, eps)
     # the eps is part of the key: construction checks against it too

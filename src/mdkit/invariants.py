@@ -109,7 +109,8 @@ class ModularInvariant:
     ``verified_pair`` is the (left, right) pair of data sets that
     ``enumerate_invariants`` verified Z against, and None on an invariant
     built by hand; it is no constructor argument and takes no part in
-    equality or repr.
+    equality or repr.  Neither does ``_found``: on a search result, the
+    call's shared :class:`_Found` and the row of Z in its stack.
     """
 
     left_rank: int
@@ -118,9 +119,25 @@ class ModularInvariant:
     kind: str
     verified_pair: tuple | None = field(default=None, init=False,
                                         compare=False, repr=False)
+    _found: tuple | None = field(default=None, init=False,
+                                 compare=False, repr=False)
 
     def __post_init__(self):
         self.Z.setflags(write=False)
+
+
+@dataclass(eq=False)
+class _Found:
+    """The invariants of one ``enumerate_invariants`` call.
+
+    ``Z`` is their read-only (k, right_rank, left_rank) stack in the
+    returned order; ``screens`` maps a ``lenient`` flag to the algebra
+    screens of the whole stack, filled by ``algebra_from_invariant`` on
+    first use.
+    """
+
+    Z: np.ndarray
+    screens: dict = field(default_factory=dict)
 
 
 # Coordinate values enumerate_invariants tries before it raises, and
@@ -150,15 +167,26 @@ def commutant_basis(left: ModularData,
     unitary map has norm <= 1, so a unit eigenvector of A at eigenvalue 1
     loses no norm under the map and is a true fixed point: the commutant
     is exactly the eigenvalue-1 space of A.  The rest of the spectrum is
-    isolated from 1 (see the module docstring).  The space is read off
-    one symmetric eigensolve, at eigenvalues within 1e-8 of 1, canonicalized
-    by reduced row echelon form and written as int64 numerators over one
-    common denominator, each distinct value approximated with denominator
-    up to 10^6.  Every rationalized row is then checked against the full
-    relation Z S_L = S_R Z (real and imaginary parts within 1e-6); if one
-    fails, the float basis is kept and ``rationalized`` is False.  Raises
-    MdkError when the estimated memory of the eigensolve is past
-    ``numeric._BYTES_CAP``.
+    isolated from 1 (see the module docstring).
+
+    The eigensolve runs on charge-conjugation orbits.  S^2 = C, so every
+    Z of the commutant satisfies Z C_L = C_R Z: it is constant on the
+    orbits of the involution (j, i) -> (C_R j, C_L i) of the positions
+    (C keeps theta).  The map Z -> S_R^H Z S_L commutes with it, so A
+    maps the span of the orbit sums into itself, and the eigensolve
+    restricted to that span is exact.  As S C = S^-1 = conj(S), A[p, q]
+    equals A[p, q'] for the partner q' of q, so A compressed to the
+    normalized orbit sums is A on one position per orbit, scaled by
+    sqrt(|orbit| |orbit'|).  Where C = 1 every orbit is one position.
+    The commutant is read off that one eigensolve, at eigenvalues within
+    1e-8 of 1, spread back over both positions of each orbit,
+    canonicalized by reduced row echelon form and written as int64
+    numerators over one common denominator, each distinct value
+    approximated with denominator up to 10^6.  Every rationalized row is
+    then checked against the full relation Z S_L = S_R Z (real and
+    imaginary parts within 1e-6); if one fails, the float basis is kept
+    and ``rationalized`` is False.  Raises MdkError when the estimated
+    memory of the eigensolve is past ``numeric._BYTES_CAP``.
     """
     if right is None:
         right = left
@@ -170,14 +198,32 @@ def commutant_basis(left: ModularData,
     js, is_ = np.nonzero(np.abs(right.T[:, None] - left.T[None, :]) < tol)
     positions = tuple(zip(js.tolist(), is_.tolist()))
     P = len(positions)
-    # A, one gathered factor, and eigh's copy, workspace and eigenvectors
-    check_bytes(40 * P * P, f"commutant eigensolve over {P} positions")
+    # each position's partner under C; none (-1) when T, within tol, tells
+    # the two apart, and then the commutant vanishes at the position
+    at = np.full((rR, rL), -1)
+    at[js, is_] = np.arange(P)
+    partner = at[right._charge[js], left._charge[is_]]
+    reps = np.flatnonzero(partner >= np.arange(P))
+    Q = len(reps)
+    # A, one gathered factor, and eigh's copy, workspace and eigenvectors,
+    # then at most Q basis rows over the P positions
+    check_bytes(40 * Q * Q + 8 * Q * P,
+                f"commutant eigensolve over {Q} orbits")
     SL, SR = left.S, right.S
-    jj, ii = np.ix_(js, js), np.ix_(is_, is_)
-    A = SR.real[jj] * SL.real[ii]
-    A += SR.imag[jj] * SL.imag[ii]
+    jo, io = js[reps], is_[reps]
+    # rows, then columns: much faster than one two-axis gather
+    A = SR.real[jo][:, jo] * SL.real[io][:, io]
+    A += SR.imag[jo][:, jo] * SL.imag[io][:, io]
+    root = np.where(partner[reps] == reps, 1.0, math.sqrt(2.0))
+    A *= root
+    A *= root[:, None]
     w, vecs = np.linalg.eigh(A)
-    null = vecs[:, np.abs(w - 1) <= 1e-8].T
+    orbit = vecs[:, np.abs(w - 1) <= 1e-8].T
+    del A, vecs  # the Q x Q arrays are not needed past here
+    orbit /= root
+    null = np.zeros((orbit.shape[0], P))
+    null[:, partner[reps]] = orbit
+    null[:, reps] = orbit
     m = null.shape[0]
     if m == 0:
         return CommutantBasis(rL, rR, positions,
@@ -265,17 +311,27 @@ def _is_gram(Z: np.ndarray) -> bool:
         return False
 
 
+def _kinds(Zs: np.ndarray) -> list[str]:
+    """The tag of each matrix of a (k, rR, rL) stack, in one pass: the
+    diagonal, permutation and symmetry tests on the whole stack, then
+    the Gram search only where a block form is still possible."""
+    k, rR, rL = Zs.shape
+    if rR != rL:
+        return ["other"] * k
+    diagonal = (Zs == np.eye(rR, dtype=np.int64)).all(axis=(1, 2))
+    permutation = (((Zs >= 0) & (Zs <= 1)).all(axis=(1, 2))
+                   & (Zs.sum(axis=1) == 1).all(axis=1)
+                   & (Zs.sum(axis=2) == 1).all(axis=1))
+    symmetric = ((Zs == Zs.transpose(0, 2, 1)).all(axis=(1, 2))
+                 & (Zs[:, 0, 0] == 1) & (rL <= 12))
+    return ["diagonal" if d else "permutation" if p
+            else "block" if s and _is_gram(Z) else "other"
+            for d, p, s, Z in zip(diagonal.tolist(), permutation.tolist(),
+                                  symmetric.tolist(), Zs)]
+
+
 def _classify(Z: np.ndarray) -> str:
-    rR, rL = Z.shape
-    if rR == rL:
-        if (Z == np.eye(rR, dtype=np.int64)).all():
-            return "diagonal"
-        if ((Z >= 0).all() and (Z <= 1).all()
-                and (Z.sum(axis=0) == 1).all() and (Z.sum(axis=1) == 1).all()):
-            return "permutation"
-        if rL <= 12 and (Z == Z.T).all() and Z[0, 0] == 1 and _is_gram(Z):
-            return "block"
-    return "other"
+    return _kinds(Z[None])[0]
 
 
 def classify_invariant(z: ModularInvariant) -> str:
@@ -314,20 +370,15 @@ def _coordinate_search(DB, scale, slack, boxes, caps):
     """
     m, P = DB.shape
     nonzero = DB != 0
-    unset = nonzero.sum(axis=0)
     boxes = np.asarray(boxes)
-    order, settled, rest = [], [], np.arange(1, m)
-    k = 0
-    while True:
-        settled.append(np.flatnonzero(nonzero[k] & (unset == 1)))
-        order.append(k)
-        unset = unset - nonzero[k]
-        if not rest.size:
-            break
-        # the first of the rest by most entries settled, then smallest box
-        gain = np.count_nonzero(nonzero[rest] & (unset == 1), axis=1)
-        i = np.argmax(gain * (boxes.max() + 1) - boxes[rest])
-        k, rest = rest[i], np.delete(rest, i)
+    order = _greedy_order(nonzero, boxes.tolist())
+    # an entry is settled by the last coordinate in the order that touches it
+    rank = np.empty(m, np.intp)
+    rank[order] = np.arange(m)
+    last = np.where(nonzero, rank[:, None], -1).max(axis=0)
+    by_last = np.argsort(last, kind="stable")
+    cuts = np.searchsorted(last[by_last], np.arange(m + 1)).tolist()
+    settled = [by_last[a:b] for a, b in zip(cuts, cuts[1:])]
     DB = DB[order]
     boxes = boxes[order, None]
     hi = np.zeros((m + 1, P), DB.dtype)
@@ -366,6 +417,43 @@ def _coordinate_search(DB, scale, slack, boxes, caps):
         stack.extend((t + 1, keep[i:i + r])
                      for i in reversed(range(0, len(keep), r)))
     return np.concatenate(found)
+
+
+def _greedy_order(nonzero: np.ndarray, boxes: list[int]) -> list[int]:
+    """Coordinate 0, then repeatedly the first of the rest that settles
+    the most entries (touched by no other unassigned coordinate), then
+    the one with the smallest box.
+
+    Row supports are Python-int bitsets, and the number of unassigned
+    rows touching each entry is a bit-sliced counter (``planes[l]`` holds
+    bit l of every entry's count), so a step is a few integer operations
+    per row, not a numpy call.
+    """
+    m = len(nonzero)
+    packed = np.packbits(nonzero, axis=1, bitorder="little").tobytes()
+    w = len(packed) // m
+    rows = [int.from_bytes(packed[r * w:(r + 1) * w], "little")
+            for r in range(m)]
+    planes = [0] * m.bit_length()
+    for bits in rows:  # add each row to the counter
+        for level, plane in enumerate(planes):
+            planes[level], bits = plane ^ bits, plane & bits
+    top = max(boxes) + 1
+    order, rest, k = [], list(range(1, m)), 0
+    while True:
+        order.append(k)
+        bits = rows[k]
+        for level, plane in enumerate(planes):  # take row k off the counter
+            planes[level], bits = plane ^ bits, ~plane & bits
+        if not rest:
+            return order
+        many = 0
+        for plane in planes[1:]:
+            many |= plane
+        once = planes[0] & ~many
+        k = max(rest, key=lambda r: (rows[r] & once).bit_count() * top
+                - boxes[r])
+        rest.remove(k)
 
 
 def _intertwines(Z: np.ndarray, left: ModularData, right: ModularData):
@@ -442,10 +530,14 @@ def _invariants_in(cb: CommutantBasis, left: ModularData,
                 f"enumeration produced a non-verifying candidate "
                 f"(S residual {s_res[i]:.3g}, T residual {t_res[i]:.3g})")
 
-    results = sorted(Zs, key=lambda Z: (int(Z.sum()),
-                                        tuple(Z.flatten().tolist())))
-    invs = [ModularInvariant(left.rank, right.rank, Z, _classify(Z))
-            for Z in results]
-    for z in invs:
+    flat = Zs.reshape(len(Zs), -1)
+    keys = list(zip(flat.sum(axis=1).tolist(), map(tuple, flat.tolist())))
+    Zs = Zs[sorted(range(len(Zs)), key=keys.__getitem__)]
+    Zs.setflags(write=False)
+    found = _Found(Zs)
+    invs = [ModularInvariant(left.rank, right.rank, Z, kind)
+            for Z, kind in zip(Zs, _kinds(Zs))]
+    for k, z in enumerate(invs):
         object.__setattr__(z, "verified_pair", (left, right))
+        object.__setattr__(z, "_found", (found, k))
     return invs

@@ -129,6 +129,13 @@ class ModularData:
         return self.S[0]
 
     @functools.cached_property
+    def _charge(self) -> np.ndarray | None:
+        """Charge conjugation C = S^2 as an index array, None when S^2 is
+        no permutation within eps; :func:`validate` records it, and
+        products and mirrors form it from their inputs' without S."""
+        return _perm_array(permutation_from_matrix(self.S @ self.S, self.eps))
+
+    @functools.cached_property
     def dims(self) -> np.ndarray:
         """Quantum dimensions d_i = S_{0i}/S_{00} (real parts).
 
@@ -187,7 +194,8 @@ def validate(md: ModularData) -> ValidationReport:
     each; the rest is a few O(n^3) matrix products.  Peak memory is
     about 80 n^2 bytes (the S of a Deligne product is formed here, on
     first use), and an estimate past ``numeric._BYTES_CAP`` raises
-    MdkError before S is read.  The report is recorded on ``md``.
+    MdkError before S is read.  The report is recorded on ``md``, and so
+    is the permutation S^2 = C, which the invariant solver reads.
     """
     n = md.rank
     # S, conj(S), S S^H, the identity, their difference and its modulus
@@ -241,8 +249,18 @@ def validate(md: ModularData) -> ValidationReport:
         r = math.inf
     checks.append(Check("st_cubed", r < eps, r))
 
+    vars(md)["_charge"] = _perm_array(perm)
     report = vars(md)["_report"] = ValidationReport(tuple(checks))
     return report
+
+
+def _perm_array(perm) -> np.ndarray | None:
+    """A permutation as a read-only index array; None stays None."""
+    if perm is None:
+        return None
+    out = np.array(perm, dtype=np.intp)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -502,7 +520,7 @@ class _DeligneProduct(ModularData):
     def __init__(self, a: ModularData, b: ModularData):
         rank = a.rank * b.rank
         check_bytes(32 * rank, f"product at rank {rank}")
-        T = np.kron(a.T, b.T)
+        T = np.outer(a.T, b.T).ravel()
         T.setflags(write=False)
         vars(self).update(_factors=(a, b), T=T, rank=rank, eps=max(a.eps, b.eps))
 
@@ -522,18 +540,24 @@ class _DeligneProduct(ModularData):
     @functools.cached_property
     def _row0(self) -> np.ndarray:
         a, b = self._factors
-        return np.kron(a._row0, b._row0)
+        return np.outer(a._row0, b._row0).ravel()
+
+    @functools.cached_property
+    def _charge(self) -> np.ndarray:
+        a, b = self._factors
+        return _perm_array((a._charge[:, None] * b.rank + b._charge).ravel())
 
 
 def reverse(md: ModularData) -> ModularData:
     """Reverse (mirror) data: complex conjugate of S and T.
 
-    Applying it twice restores the original arrays bit for bit.  ``md``
-    must pass its gate, and the mirror inherits it: ``require_valid`` on
-    the result returns at once.
+    Applying it twice returns the original object, whose arrays are
+    those of the double conjugate bit for bit, so mirrors never nest.
+    ``md`` must pass its gate, and the mirror inherits it:
+    ``require_valid`` on the result returns at once.
     """
     md.require_valid()
-    return _Reverse(md)
+    return md._inner if isinstance(md, _Reverse) else _Reverse(md)
 
 
 class _Reverse(ModularData):
@@ -564,17 +588,21 @@ class _Reverse(ModularData):
     def _row0(self) -> np.ndarray:
         return np.conj(self._inner._row0)
 
+    @functools.cached_property
+    def _charge(self) -> np.ndarray:
+        return self._inner._charge  # conj(S)^2 = conj(C) = C
+
 
 def charge_conjugation(md: ModularData) -> list[int]:
     """The permutation C with S^2 = C; an involution fixing 0.
 
+    Read off the record :func:`validate` keeps; a product or mirror
+    forms it from its inputs'.
+
     Raises
     ------
-    MdkError
-        If S^2 is not within eps of a permutation matrix.
+    ValidationFailedError
+        If the data fails validation (S^2 off a permutation matrix
+        included).
     """
-    md.require_valid()
-    perm = permutation_from_matrix(md.S @ md.S, md.eps)
-    if perm is None:
-        raise MdkError("S^2 is not a permutation matrix within eps")
-    return perm
+    return md.require_valid()._charge.tolist()

@@ -435,3 +435,54 @@ def test_invariant_algebras_match_pinned_digest():
                     + np.float64(c.dim_gamma).tobytes()
                     + np.array([v.residual for v in c.verdicts]).tobytes())
     assert h.hexdigest()[:24] == "df0af8af180d26c42d077c08"
+
+
+def test_relabeled_invariant_algebras_match_pinned_digest():
+    # as the benchmark's solve tasks: the right side a relabeled copy, so
+    # every verdict comes from the search's own stack; lenient verdicts
+    # are asked for first, and for every invariant before any strict one
+    h = hashlib.sha256()
+    for spec, seed in [("double:Z_5", 3), ("tdouble:5:0", 5),
+                       ("prod(su2:4,su2:4)", 11), ("su2:10", 6),
+                       ("double:Z_3", 1), ("tdouble:3:1", 2),
+                       ("prod(preset:ising,preset:ising)", 4)]:
+        left = evaluate(parse_spec(spec))
+        right = relabeled_copy(left, seed)
+        invs = enumerate_invariants(left, right)
+        for lenient in (True, False):
+            for c in [algebra_from_invariant(left, right, z, lenient=lenient)
+                      for z in invs]:
+                h.update(repr((spec, lenient, c.mult, [
+                    (v.name, v.passed, v.required) for v in c.verdicts])).encode()
+                    + np.float64(c.dim_gamma).tobytes()
+                    + np.array([v.residual for v in c.verdicts]).tobytes())
+    assert h.hexdigest()[:24] == "bef5c303eb7c4fdc9c6a9d2f"
+
+
+@pytest.mark.parametrize("spec, seed", [("double:Z_5", 3), ("su2:10", None)])
+def test_stack_screens_equal_the_checked_one_at_a_time_path(spec, seed,
+                                                            intertwines_calls):
+    # after the search's stack has been screened, a hand-built copy and a
+    # call for another pair of objects still go through _intertwines, and
+    # all three paths give equal candidates
+    left = evaluate(parse_spec(spec))
+    right = left if seed is None else relabeled_copy(left, seed)
+    other = ModularData(right.S, right.T, labels=right.labels, eps=right.eps)
+    invs = enumerate_invariants(left, right)
+    for lenient in (False, True):
+        stacked = [algebra_from_invariant(left, right, z, lenient=lenient)
+                   for z in invs]
+        assert intertwines_calls == []
+        for z, c in zip(invs, stacked):
+            copy = type(z)(z.left_rank, z.right_rank, z.Z, z.kind)
+            for a in (algebra_from_invariant(left, right, copy, lenient=lenient),
+                      algebra_from_invariant(left, other, z, lenient=lenient)):
+                assert (a.mult, a.dim_gamma, a.verdicts) == \
+                    (c.mult, c.dim_gamma, c.verdicts)
+        assert [r for _l, r in intertwines_calls] == [right, other] * len(invs)
+        intertwines_calls.clear()
+    # each call builds its own candidate; the verdicts stay with the search
+    assert (algebra_from_invariant(left, right, invs[0])
+            is not algebra_from_invariant(left, right, invs[0]))
+    assert set(invs[0]._found[0].screens) == {False, True}
+    assert not any("screen" in name for name in vars(left))

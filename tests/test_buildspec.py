@@ -304,3 +304,21 @@ def test_files_are_read_on_every_evaluate(tmp_path):
     assert evaluate(node).labels == ("1", "s")
     data.write_text(dump_modular_data(preset("fibonacci")))
     assert evaluate(node).labels == ("1", "tau")
+
+
+def test_deeply_nested_specs_built_in_python_render_and_evaluate():
+    # 2 000 levels: past the interpreter's recursion limit, which the
+    # parser refuses but the API can build
+    spec = Su2(3)
+    for _ in range(2000):
+        spec = Rev(spec)
+    assert render(spec) == "rev(" * 2000 + "su2:3" + ")" * 2000
+    assert evaluate(spec) is evaluate(Su2(3))
+    md = evaluate(Rev(spec))
+    assert np.array_equal(md.S, np.conj(evaluate(Su2(3)).S))
+    wide = Preset("trivial")
+    for _ in range(2000):
+        wide = Prod(wide, Rev(Preset("trivial")))
+    assert render(wide) == ("prod(" * 2000 + "preset:trivial"
+                            + ",rev(preset:trivial))" * 2000)
+    assert evaluate(wide).rank == 1

@@ -520,3 +520,74 @@ def test_search_results_are_read_only_and_remember_their_pair():
     by_hand = ModularInvariant(z.left_rank, z.right_rank, z.Z, z.kind)
     assert by_hand.verified_pair is None
     assert by_hand == z and repr(by_hand) == repr(z)
+
+
+def _relabeled_by_seed(md, seed):
+    rng = np.random.default_rng(seed)
+    return _relabeled(md, np.concatenate(([0], 1 + rng.permutation(md.rank - 1))))
+
+
+def _commutant_pairs():
+    """Relabeled, cross and mirrored pairs; most have C != 1 on a side."""
+    relabeled = [(build(s), _relabeled_by_seed(build(s), seed)) for s, seed in (
+        ("double:Z_5", 3), ("tdouble:5:0", 5), ("prod(su2:4,su2:4)", 11),
+        ("double:S3", 2), ("double:Z_4", 7), ("tdouble:3:1", 1),
+        ("tdouble:4:1", 4), ("su2:10", 6))]
+    cross = [(build(a), build(b)) for a, b in (
+        ("preset:toric_code", "preset:double_semion"),
+        ("double:Z_3", "tdouble:3:0"), ("tdouble:2:1", "preset:double_semion"),
+        ("preset:fibonacci", "preset:ising"), ("tdouble:4:1", "tdouble:4:3"),
+        ("su2:2", "prod(su2:2,preset:toric_code)"),
+        ("prod(preset:semion,rev(double:Z_3))",
+         "prod(rev(preset:semion),double:Z_3)"),
+        ("tdouble:3:1", "rev(tdouble:3:2)"))]
+    mirrored = [(build(s), build(s)) for s in (
+        "prod(double:Z_3,rev(su2:2))", "prod(su2:3,rev(su2:3))",
+        "rev(tdouble:5:2)", "prod(preset:semion,rev(preset:semion))")]
+    own = [(build(s), build(s)) for s in (
+        [f"double:Z_{n}" for n in (3, 4, 5, 6)]
+        + [f"tdouble:{n}:{p}" for n in (3, 4, 5, 6) for p in range(n)])]
+    return relabeled + cross + mirrored + own
+
+
+def test_commutant_of_relabeled_cross_and_mirrored_pairs_matches_pinned_digest():
+    # every field of the basis, pinned before the eigensolve moved to the
+    # charge-conjugation orbits of the positions
+    h = hashlib.sha256()
+    pairs = _commutant_pairs()
+    assert len(pairs) == 42
+    for left, right in pairs:
+        cb = commutant_basis(left, right)
+        h.update(repr((cb.positions, cb.pivots, cb.denominator,
+                       cb.rationalized, cb.coords.dtype.str,
+                       cb.coords.shape)).encode() + cb.coords.tobytes())
+    assert h.hexdigest()[:24] == "685b99cad974b7a0a4da5ac7"
+
+
+def _greedy_order_by_counting(nonzero, boxes):
+    """Reference: the greedy coordinate order kept as per-entry counts of
+    the unassigned rows touching each entry, one numpy pass per step."""
+    unset = nonzero.sum(axis=0)
+    order, rest, k = [], list(range(1, len(nonzero))), 0
+    while True:
+        order.append(k)
+        unset = unset - nonzero[k]
+        if not rest:
+            return order
+        gain = np.count_nonzero(nonzero[rest] & (unset == 1), axis=1)
+        i = int(np.argmax(gain * (max(boxes) + 1) - np.asarray(boxes)[rest]))
+        k = rest.pop(i)
+
+
+def test_greedy_order_matches_the_counting_reference():
+    # the supports of real bases, then random ones of every density
+    rng = np.random.default_rng(5)
+    cases = [commutant_basis(left, right).coords != 0
+             for left, right in _commutant_pairs()]
+    cases += [rng.random((m, P)) < rng.random()
+              for m, P in rng.integers(1, 70, (200, 2))]
+    for nonzero in cases:
+        if len(nonzero):
+            boxes = rng.integers(0, 5, len(nonzero)).tolist()
+            assert (invariants._greedy_order(nonzero, boxes)
+                    == _greedy_order_by_counting(nonzero, boxes))

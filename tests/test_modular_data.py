@@ -688,3 +688,33 @@ def test_dims_and_global_dims_match_pinned_digest():
         h.update(repr((spec, md.dims.dtype.str, md.dims.shape)).encode()
                  + md.dims.tobytes() + np.float64(md.global_dim).tobytes())
     assert h.hexdigest()[:24] == "761df8eba183654cb0c8bd44"
+
+
+@pytest.mark.parametrize("spec", ["su2:5", "double:Z_5", "tdouble:5:2",
+                                  "double:S3", "preset:toric_code"])
+def test_validate_records_the_charge_conjugation(spec):
+    # the permutation read off S^2 by validate, recorded next to the report
+    md = evaluate(parse_spec(spec))
+    fresh = ModularData(md.S, md.T, labels=md.labels, eps=md.eps)
+    validate(fresh)
+    want = numeric.permutation_from_matrix(md.S @ md.S, md.eps)
+    assert vars(fresh)["_charge"].tolist() == want
+    assert charge_conjugation(fresh) == want
+    assert not fresh._charge.flags.writeable
+
+
+@pytest.mark.parametrize("spec", [
+    "prod(double:Z_3,tdouble:4:1)", "rev(tdouble:5:2)",
+    "prod(rev(double:Z_5),prod(su2:2,rev(tdouble:3:1)))",
+    "rev(prod(tdouble:3:1,double:Z_4))"])
+def test_products_and_mirrors_form_a_correct_charge_conjugation(spec):
+    # they skip validate, and form C from their inputs' without S
+    md = evaluate(parse_spec(spec))
+    md.require_valid()
+    assert md._report is None
+    perm = md._charge
+    assert "S" not in vars(md)
+    assert perm.tolist() == numeric.permutation_from_matrix(md.S @ md.S,
+                                                            md.eps)
+    assert perm.tolist() != list(range(md.rank))
+    assert charge_conjugation(md) == perm.tolist()
