@@ -272,8 +272,8 @@ class FusionRing:
     indices, exact associativity on the integer tensor, and the dimension
     identity ``sum_k N[i, j, k] d_k = d_i d_j`` within eps.  The
     associativity check tests one cyclic element against every N_i in
-    O(n^4) flops and O(n^3) memory, never an n^4 tensor (see
-    :func:`_check_ring`).
+    O(n^4) flops, a block of N_i at a time, so N is its only n^3 array
+    (see :func:`_check_ring`).
     """
     rank: int
     N: np.ndarray = field(repr=False)
@@ -289,52 +289,60 @@ def verlinde_fusion(md: ModularData) -> FusionRing:
 
     N_{ij}^k = sum_m S_{im} S_{jm} conj(S_{km}) / S_{0m}; coefficients are
     rounded after checking they sit within ``integer_eps`` (1e-6) of a
-    nonnegative integer.  The sum is one complex matrix product of shape
-    (n^2, n) x (n, n), and the ring axioms are then checked exactly on the
-    integer tensor (see :func:`_check_ring`).  Cost: O(n^4) flops, almost
-    all in BLAS, and a peak of 48 n^3 bytes, checked before anything is
-    allocated.  The associativity check is certified by one cyclic
-    element; a ring where that certificate fails (only by an unlucky
-    choice of coefficients or prime, since Verlinde rings are semisimple)
-    falls back to an O(n^5) comparison in the same memory.
+    nonnegative integer.  The sum is the complex matrix product of shape
+    (n^2, n) x (n, n), formed a block of rows i at a time (about
+    ``_BLOCK_ENTRIES`` coefficients, see :func:`_verlinde_blocks`); each
+    block is rounded, checked and written into the int64 N, and the ring
+    axioms are then checked exactly on N (see :func:`_check_ring`).  Cost:
+    O(n^4) flops, almost all in BLAS, and a peak of about 16 n^3 bytes (N
+    and the float64 copy the O(n^5) fallback below takes), checked before
+    anything is allocated; on the certified path N is the only n^3 array.
+    The associativity check is certified by one cyclic element; a ring
+    where that certificate fails (only by an unlucky choice of
+    coefficients or prime, since Verlinde rings are semisimple) falls back
+    to an O(n^5) comparison.
 
     Raises
     ------
     NonIntegralError
-        If some coefficient is not integral (carries the worst (i, j, k)
-        and its residual) or rounds to a negative value.
+        If some coefficient is not integral (carries the first worst
+        (i, j, k) in C order and its residual), or, once all are, if one
+        rounds to a negative value.
     MdkError
         If the rounded tensor violates a fusion-ring identity, or if the
         estimated memory is past ``numeric._BYTES_CAP``.
     """
     md.require_valid()
     n = md.rank
-    # peak: the complex tensor, its rounded real part, their difference, |that|
-    check_bytes(48 * n ** 3, f"Verlinde fusion at rank {n}")
-    S = md.S
-    raw = ((S[:, None, :] * S[None, :, :]) / S[0]).reshape(n * n, n) @ S.conj().T
-    raw = raw.reshape(n, n, n)
-    rounded = np.round(raw.real)
-    residual = np.abs(raw - rounded)
-    worst = np.unravel_index(int(residual.argmax()), residual.shape)
-    if residual[worst] > INTEGER_EPS:
-        i, j, k = (int(x) for x in worst)
-        raise NonIntegralError(
-            f"Verlinde coefficient N[{i},{j},{k}] = {raw[worst]:.9g} is not "
-            f"integral within {INTEGER_EPS:g}",
-            where=(i, j, k), residual=float(residual[worst]))
-    del raw, residual  # the complex n^3 arrays are not needed past here
-    if rounded.min() < 0:
-        where = np.unravel_index(int(rounded.argmin()), rounded.shape)
-        i, j, k = (int(x) for x in where)
-        raise NonIntegralError(
-            f"Verlinde coefficient N[{i},{j},{k}] rounds to {rounded[where]:g} < 0",
-            where=(i, j, k), residual=float(rounded[where]))
+    # N, the fallback's float64 copy of it, and blocks of O(n^2) bytes
+    check_bytes(16 * n ** 3, f"Verlinde fusion at rank {n}")
     dims = md.dims
-    # on the float64 tensor, which holds the integers of N exactly
-    dim_residual = np.abs(rounded @ dims - np.outer(dims, dims)).max()
-    N = rounded.astype(np.int64)
-    del rounded
+    N = np.empty((n, n, n), dtype=np.int64)
+    worst, where, value = -1.0, None, None  # first worst residual, C order
+    dim_residual = 0.0
+    for rows, raw in _verlinde_blocks(md.S):
+        rounded = np.round(raw.real)
+        residual = np.abs(raw - rounded)
+        at = int(residual.argmax())
+        if residual.flat[at] > worst:
+            worst, value = float(residual.flat[at]), raw.flat[at]
+            where = tuple(int(x) for x in
+                          np.unravel_index(rows.start * n * n + at, (n, n, n)))
+        if worst <= INTEGER_EPS:  # otherwise this call raises below
+            N[rows] = rounded
+            # on the float64 block, which holds the integers of N exactly
+            dim_residual = max(dim_residual, float(np.abs(
+                rounded @ dims - np.outer(dims[rows], dims)).max()))
+    if worst > INTEGER_EPS:
+        i, j, k = where
+        raise NonIntegralError(
+            f"Verlinde coefficient N[{i},{j},{k}] = {value:.9g} is not "
+            f"integral within {INTEGER_EPS:g}", where=where, residual=worst)
+    if N.min() < 0:
+        i, j, k = (int(x) for x in np.unravel_index(int(N.argmin()), N.shape))
+        raise NonIntegralError(
+            f"Verlinde coefficient N[{i},{j},{k}] rounds to {N[i, j, k]:g} < 0",
+            where=(i, j, k), residual=float(N[i, j, k]))
 
     _check_ring(N)
     if dim_residual > max(md.eps, 1e-12 * md.global_dim * n):
@@ -342,6 +350,33 @@ def verlinde_fusion(md: ModularData) -> FusionRing:
             f"fusion dimensions inconsistent (residual {dim_residual:.3g})")
     N.setflags(write=False)
     return FusionRing(rank=n, N=N, dims=dims, global_dim=md.global_dim)
+
+
+# entries of one block: the Verlinde sum and the ring check form their
+# temporaries a block of about this many coefficients at a time
+_BLOCK_ENTRIES = 2 ** 14
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of the first axis of an (n, n, n) tensor, in order, each of
+    about ``_BLOCK_ENTRIES`` entries and at least one row."""
+    step = max(1, _BLOCK_ENTRIES // (n * n))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _verlinde_blocks(S: np.ndarray):
+    """Yield (rows, raw): the complex Verlinde sums ``raw[i - rows.start,
+    j, k]`` for the rows i of each of :func:`_row_blocks`.
+
+    Each block goes through the same operations as the one product
+    ``((S[:, None] * S[None]) / S[0]).reshape(n * n, n) @ S^H``, on a
+    slice of its rows, and so is that product's entries bit for bit.
+    """
+    n = len(S)
+    S_H = S.conj().T
+    for rows in _row_blocks(n):
+        raw = ((S[rows, None, :] * S[None, :, :]) / S[0]).reshape(-1, n) @ S_H
+        yield rows, raw.reshape(-1, n, n)
 
 
 def _check_ring(N: np.ndarray) -> None:
@@ -354,10 +389,11 @@ def _check_ring(N: np.ndarray) -> None:
     coefficients c_i in [1, 2^20] taken from a splitmix64 hash of i:
 
     1. If the N_y commute, so does X with each of them.  X N_y = N_y X
-       is therefore checked for every y, as two float64 products of shape
-       (n x n) x (n x n^2), and a mismatch proves that associativity
-       fails.  All sums stay below ``n^2 * 2^20 * max|N|^2 < 2^53``, so
-       float64 holds them exactly.
+       is therefore checked for every y, as float64 products of float64
+       copies of a block of N_y at a time (:func:`_row_blocks`), and a
+       mismatch proves that associativity fails.  All sums stay below
+       ``n^2 * 2^20 * max|N|^2 < 2^53``, so float64 holds them exactly,
+       in any order.
     2. Conversely, if X is cyclic then every N_y is a polynomial in X, so
        the N_y commute and the ring is associative.  Proof: let the rows
        w_k = e_0 X^k (k < n) span Q^n.  If B commutes with X, write w_0 B
@@ -367,10 +403,12 @@ def _check_ring(N: np.ndarray) -> None:
        int64 elimination mod the prime ``_KRYLOV_PRIME``: a determinant
        that is nonzero mod p is nonzero over Q.
 
-    When the certificate fails (no X is cyclic in a non-semisimple ring,
-    and an unlucky c may miss in a semisimple one) or the bound of step 1
-    does not hold, :func:`_check_associativity_by_rows` decides in
-    O(n^5) flops.
+    Commutativity is compared a block at a time too, so a certified ring
+    forms no n^3 array besides N.  When the certificate fails (no X is
+    cyclic in a non-semisimple ring, and an unlucky c may miss in a
+    semisimple one) or the bound of step 1 does not hold,
+    :func:`_check_associativity_by_rows` decides in O(n^5) flops, on a
+    float64 copy of N when that is exact.
 
     Raises
     ------
@@ -381,17 +419,18 @@ def _check_ring(N: np.ndarray) -> None:
     n = N.shape[0]
     if not np.array_equal(N[0], np.eye(n, dtype=N.dtype)):
         raise MdkError("fusion ring violates the unit row N[0,j,k] = delta_jk")
-    if not np.array_equal(N, N.transpose(1, 0, 2)):
+    if not all(np.array_equal(N[b], N[:, b].transpose(1, 0, 2))
+               for b in _row_blocks(n)):
         raise MdkError("fusion ring is not commutative in the lower indices")
     big = max(int(N.max()), -int(N.min()))
     if n * big ** 2 >= 2 ** 63:
         raise MdkError(
             f"fusion coefficients up to {big} at rank {n} are too large for an "
             f"exact associativity check (n * max|N|^2 >= 2^63)")
-    M = N.astype(np.float64) if n * big ** 2 < 2 ** 53 else N
-    if n * n * 2 ** 20 * big ** 2 < 2 ** 53 and _commutes_with_cyclic_element(M):
+    if n * n * 2 ** 20 * big ** 2 < 2 ** 53 and _commutes_with_cyclic_element(N):
         return
-    _check_associativity_by_rows(M)
+    _check_associativity_by_rows(N.astype(np.float64) if n * big ** 2 < 2 ** 53
+                                 else N)
 
 
 # largest prime below 2^23: with n < 2^17, which the bound of step 1 in
@@ -399,23 +438,25 @@ def _check_ring(N: np.ndarray) -> None:
 _KRYLOV_PRIME = 8388593
 
 
-def _commutes_with_cyclic_element(M: np.ndarray) -> bool:
-    """Steps 1 and 2 of :func:`_check_ring` on a commutative float64 M.
+def _commutes_with_cyclic_element(N: np.ndarray) -> bool:
+    """Steps 1 and 2 of :func:`_check_ring` on a commutative integer N.
 
     Raises on a mismatch in step 1; returns whether X was certified
     cyclic.
     """
-    n = M.shape[0]
+    n = N.shape[0]
     # outputs 0..n-1 of the splitmix64 generator started from state 0
     z = _mix(np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15))
     c = ((z >> np.uint64(44)) + np.uint64(1)).astype(np.float64)
-    rows = M.reshape(n, n * n)  # [j, (y, l)] = (N_y)_jl, by commutativity
-    X = (c @ rows).reshape(n, n)
-    left = (X @ rows).reshape(n, n, n)  # [j, y, l] = (X N_y)_jl
-    right = (M.reshape(n * n, n) @ X).reshape(n, n, n)  # [y, j, l] = (N_y X)_jl
-    if not np.array_equal(left, right.transpose(1, 0, 2)):
-        raise MdkError("fusion ring violates associativity")
-    del left, right
+    blocks = _row_blocks(n)
+    X = np.zeros((n, n))
+    for b in blocks:
+        X += np.tensordot(c[b], N[b].astype(np.float64), axes=1)
+    for b in blocks:
+        Nb = N[b].astype(np.float64)
+        # [y, j, l]: (X N_y)_jl against (N_y X)_jl
+        if not np.array_equal(X @ Nb, Nb @ X):
+            raise MdkError("fusion ring violates associativity")
     p = _KRYLOV_PRIME
     Xp = X.astype(np.int64) % p
     K = np.zeros((n, n), dtype=np.int64)  # row k: e_0 X^k mod p
@@ -512,7 +553,9 @@ class _DeligneProduct(ModularData):
     built for them, nor the S of a mirror factor: row 0 of S is the
     Kronecker product of the factors' rows 0.  T and that row, 32 bytes
     per object, are checked against ``numeric._BYTES_CAP`` first.  S,
-    once formed, equals ``np.kron(a.S, b.S)`` bit for bit.
+    once formed, equals ``np.kron(a.S, b.S)`` bit for bit.  Each lazy
+    attribute is formed on the products and mirrors below first (see
+    :func:`_form_inputs_first`), so no nesting depth is too deep for it.
     """
 
     _inherits_gate = True
@@ -526,12 +569,14 @@ class _DeligneProduct(ModularData):
 
     @functools.cached_property
     def labels(self) -> tuple[str, ...]:
+        _form_inputs_first(self, "labels")
         a, b = self._factors
         return tuple(f"{la}⊗{lb}" for la in a.labels for lb in b.labels)
 
     @functools.cached_property
     def S(self) -> np.ndarray:
         check_bytes(16 * self.rank ** 2, f"product S at rank {self.rank}")
+        _form_inputs_first(self, "S")
         a, b = self._factors
         S = np.kron(a.S, b.S)
         S.setflags(write=False)
@@ -539,13 +584,43 @@ class _DeligneProduct(ModularData):
 
     @functools.cached_property
     def _row0(self) -> np.ndarray:
+        _form_inputs_first(self, "_row0")
         a, b = self._factors
         return np.outer(a._row0, b._row0).ravel()
 
     @functools.cached_property
     def _charge(self) -> np.ndarray:
+        _form_inputs_first(self, "_charge")
         a, b = self._factors
         return _perm_array((a._charge[:, None] * b.rank + b._charge).ravel())
+
+
+def _form_inputs_first(md: ModularData, name: str) -> None:
+    """Form the lazy attribute ``name`` on every product and mirror that
+    ``md`` is built from, each after its own inputs.
+
+    The tree is walked with an explicit stack, each shared node once, so
+    that forming ``name`` on ``md`` then reads only formed attributes of
+    its inputs, however deeply products and mirrors nest.
+    """
+    order, seen = [], set()
+    stack = [(x, False) for x in _inputs(md)]
+    while stack:
+        node, expanded = stack.pop()  # expanded: its inputs are in order
+        if expanded:
+            order.append(node)
+        elif _inputs(node) and name not in vars(node) and id(node) not in seen:
+            seen.add(id(node))
+            stack += [(node, True)] + [(x, False) for x in _inputs(node)]
+    for node in order:
+        getattr(node, name)
+
+
+def _inputs(md: ModularData) -> tuple[ModularData, ...]:
+    """The data a product or mirror is built from; none for other data."""
+    if isinstance(md, _DeligneProduct):
+        return md._factors
+    return (md._inner,) if isinstance(md, _Reverse) else ()
 
 
 def reverse(md: ModularData) -> ModularData:

@@ -322,3 +322,21 @@ def test_deeply_nested_specs_built_in_python_render_and_evaluate():
     assert render(wide) == ("prod(" * 2000 + "preset:trivial"
                             + ",rev(preset:trivial))" * 2000)
     assert evaluate(wide).rank == 1
+
+
+def test_deeply_nested_products_answer_like_their_one_factor():
+    # 2 000 products with the unit category: every attribute the product
+    # forms on first use walks that depth, and multiplying by 1 keeps
+    # every bit of the one non-trivial factor
+    spec = Su2(3)
+    for _ in range(2000):
+        spec = Prod(spec, Preset("trivial"))
+    md, su2 = evaluate(spec), evaluate(Su2(3))
+    assert md.labels == tuple(a + "⊗1" * 2000 for a in su2.labels)
+    assert np.array_equal(md.dims, su2.dims)
+    assert np.array_equal(md.S, su2.S)
+    assert np.array_equal(md.T, su2.T)
+    assert (modular_data.charge_conjugation(md)
+            == modular_data.charge_conjugation(su2))
+    assert modular_data.validate(md).ok
+    assert np.array_equal(verlinde_fusion(md).N, verlinde_fusion(su2).N)

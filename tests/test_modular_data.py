@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -393,6 +394,107 @@ def test_verlinde_matches_pinned_digest(spec, digest):
     assert h.hexdigest()[:24] == digest
 
 
+# su2:1-32, the group doubles, tdouble n <= 8 and four larger specs
+# (ranks 66, 32, 81 and 99)
+FUSION_SPECS = ([f"su2:{k}" for k in range(1, 33)]
+                + [f"double:{g}" for g in GROUP_PRESETS]
+                + [f"tdouble:{n}:{p}" for n in range(1, 9) for p in range(n)]
+                + ["prod(double:D4,preset:ising)", "prod(double:S3,double:Z_2)",
+                   "tdouble:9:2", "prod(su2:10,su2:8)"])
+
+
+def relabeled(md, seed):
+    """md with its non-unit objects permuted by a seeded permutation."""
+    rng = np.random.default_rng(seed)
+    p = np.concatenate(([0], 1 + rng.permutation(md.rank - 1)))
+    return ModularData(md.S[np.ix_(p, p)], md.T[p], eps=md.eps)
+
+
+def test_verlinde_fusions_match_pinned_digest():
+    # 174 fusions, each spec as built and relabeled; pinned on the
+    # one-product Verlinde sum, which the blocked sum reproduces bit for bit
+    h = hashlib.sha256()
+    for spec in FUSION_SPECS:
+        md = evaluate(parse_spec(spec))
+        for x in (md, relabeled(md, 11)):
+            N = verlinde_fusion(x).N
+            h.update(repr((spec, N.shape)).encode())
+            h.update(np.ascontiguousarray(N, dtype=np.int64).tobytes())
+    assert len(FUSION_SPECS) == 87
+    assert h.hexdigest()[:24] == "139c053181a5e4805568ae68"
+
+
+@pytest.mark.parametrize("spec", [
+    "su2:10", "tdouble:6:1", "prod(double:D4,preset:ising)", "tdouble:9:2",
+    "prod(su2:10,su2:8)"])
+def test_verlinde_blocks_are_bitwise_the_one_product(monkeypatch, spec):
+    # one row per block, the default and the whole tensor in one block
+    md = evaluate(parse_spec(spec))
+    S, n = md.S, md.rank
+    want = ((S[:, None, :] * S[None, :, :]) / S[0]).reshape(n * n, n) @ S.conj().T
+    N = verlinde_fusion(md).N
+    for entries in (1, modular_data._BLOCK_ENTRIES, n ** 3):
+        monkeypatch.setattr(modular_data, "_BLOCK_ENTRIES", entries)
+        raw = np.concatenate([b for _, b in modular_data._verlinde_blocks(S)])
+        assert raw.tobytes() == want.tobytes()
+        assert verlinde_fusion(md).N.tobytes() == N.tobytes()
+
+
+@pytest.mark.parametrize("spec, factor, where, residual, value", [
+    ("preset:ising", 1 + 3e-6, (2, 2, 2), 6.363980122308707e-06,
+     "-6.36398012e-06+0j"),
+    ("tdouble:5:2", 1 + 1e-5, (1, 1, 2), 2.8800288001562535e-05,
+     "1.0000288+2.64618572e-17j"),
+    ("su2:6", 1 - 2e-6, (1, 5, 6), 5.24998950035549e-06, "0.99999475+0j"),
+])
+@pytest.mark.parametrize("rows", ["one", "default"])
+def test_perturbed_verlinde_names_the_first_worst_coefficient(
+        monkeypatch, spec, factor, where, residual, value, rows):
+    # pinned on the one-product sum: the same (i, j, k), bit for bit the
+    # same residual, the same message, with one row per block too
+    if rows == "one":
+        monkeypatch.setattr(modular_data, "_BLOCK_ENTRIES", 1)
+    md = evaluate(parse_spec(spec))
+    S = md.S.copy()
+    S[1:, 1:] *= factor
+    with pytest.raises(NonIntegralError) as exc:
+        verlinde_fusion(ModularData(S, md.T, eps=0.5))
+    assert exc.value.where == where
+    assert exc.value.residual == residual
+    i, j, k = where
+    assert str(exc.value) == (f"Verlinde coefficient N[{i},{j},{k}] = {value} "
+                              f"is not integral within 1e-06")
+
+
+@pytest.mark.parametrize("rows", ["one", "default"])
+def test_negative_verlinde_coefficient_is_refused(monkeypatch, rows):
+    # the Galois conjugate of Fibonacci with a positive row 0 passes every
+    # axiom check, and its Verlinde sums are integers: tau * tau = 1 - tau
+    if rows == "one":
+        monkeypatch.setattr(modular_data, "_BLOCK_ENTRIES", 1)
+    phi = (1 + 5 ** 0.5) / 2
+    a, b = phi / (1 + phi ** 2) ** 0.5, 1 / (1 + phi ** 2) ** 0.5
+    md = ModularData([[a, b], [b, -a]], [1, unit_root(1, 5)])
+    assert validate(md).ok
+    with pytest.raises(NonIntegralError,
+                       match=r"^Verlinde coefficient N\[1,1,1\] rounds to "
+                             r"-1 < 0$") as exc:
+        verlinde_fusion(md)
+    assert exc.value.where == (1, 1, 1) and exc.value.residual == -1.0
+
+
+def test_verlinde_rank99_traced_peak():
+    # N alone is 7.8 MB; the sum formed as one product peaks at about 47 MB
+    md = evaluate(parse_spec("prod(su2:10,su2:8)"))
+    tracemalloc.start()
+    try:
+        verlinde_fusion(md)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_verlinde_rings_are_certified_without_the_loop(monkeypatch):
     def loop(M):
         raise AssertionError(f"fallback loop ran at rank {len(M)}")
@@ -492,9 +594,9 @@ def test_charge_conjugation_self_dual():
 def test_oversized_fusion_is_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(numeric, "_BYTES_CAP", 10 ** 6)
     assert verlinde_fusion(evaluate(parse_spec("tdouble:3:0"))).rank == 9
-    with pytest.raises(MdkError, match=r"Verlinde fusion at rank 36 needs "
+    with pytest.raises(MdkError, match=r"Verlinde fusion at rank 49 needs "
                                        r"about 2 MB, past the 1 MB cap"):
-        verlinde_fusion(evaluate(parse_spec("tdouble:6:1")))
+        verlinde_fusion(evaluate(parse_spec("tdouble:7:3")))
 
 
 def test_oversized_validation_is_refused_before_forming_s(monkeypatch):
