@@ -12,15 +12,18 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (DimensionMismatchError, IncompleteEnumerationError,
                      MdkError, NonRationalChargeError, _Budget)
-from .invariants import ModularInvariant, _intertwines
-from .modular_data import (Check, ModularData, central_charge,
+from .modular_data import (Check, ModularData, _intertwines, central_charge,
                            deligne_product, gauss_sum, reverse)
 from .numeric import INTEGER_EPS
+
+if TYPE_CHECKING:  # the search module is loaded only by commands that search
+    from .invariants import ModularInvariant
 
 __all__ = [
     "AlgebraCandidate", "screen_algebra", "local_modules_dim",

@@ -3,7 +3,9 @@
 Results go to the output stream, diagnostics to the error stream.  Exit
 codes: 0 success, 1 domain error (or running out of memory or stack
 depth, or a failed linear-algebra routine), 2 usage error.  Identical
-inputs give byte-identical output.
+inputs give byte-identical output.  Each command imports the search
+(`invariants`) and screening (`algebras`) modules only if it runs them,
+so `build`, `validate` and `fusion` load neither.
 """
 
 from __future__ import annotations
@@ -16,12 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebras import (algebra_from_invariant, anisotropy_screen,
-                       local_modules_dim, screen_algebra, witt_invariants,
-                       witt_obstruction)
 from .buildspec import evaluate, parse_spec
 from .errors import MdkError, ToleranceError
-from .invariants import _invariants_in, commutant_basis, enumerate_invariants
 from .modular_data import central_charge, validate, verlinde_fusion
 from .numeric import TWIST_ORDER_CAP, checked_eps, phase_fraction
 from .serialize import dump_modular_data, invariants_doc
@@ -128,6 +126,7 @@ def _cmd_fusion(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from .invariants import _invariants_in, commutant_basis
     left = _build_data(args, "left")
     right = _build_data(args, "right")
     cb = commutant_basis(left, right)
@@ -146,6 +145,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _print_candidate(cand, args) -> None:
+    from .algebras import local_modules_dim
     local = local_modules_dim(cand) if cand.passes else None
     if args.format == "json":
         doc = {"mult": list(cand.mult), "dim_gamma": cand.dim_gamma,
@@ -168,6 +168,7 @@ def _print_candidate(cand, args) -> None:
 
 
 def _cmd_algebra_screen(args) -> int:
+    from .algebras import screen_algebra
     md = _build_data(args)
     cand = screen_algebra(md, args.mult, lenient=args.lenient)
     _print_candidate(cand, args)
@@ -175,6 +176,8 @@ def _cmd_algebra_screen(args) -> int:
 
 
 def _cmd_algebra_from_invariant(args) -> int:
+    from .algebras import algebra_from_invariant
+    from .invariants import enumerate_invariants
     left = _build_data(args, "left")
     right = _build_data(args, "right")
     invs = enumerate_invariants(left, right)
@@ -188,6 +191,7 @@ def _cmd_algebra_from_invariant(args) -> int:
 
 
 def _cmd_witt(args) -> int:
+    from .algebras import witt_invariants, witt_obstruction
     left = _build_data(args)
     if args.other is None:
         wi = witt_invariants(left)
@@ -220,6 +224,7 @@ def _cmd_witt(args) -> int:
 
 
 def _cmd_anisotropy(args) -> int:
+    from .algebras import anisotropy_screen
     md = _build_data(args)
     report = anisotropy_screen(md)
     if args.format == "json":

@@ -241,10 +241,14 @@ def _class_matrices(g: FiniteGroup) -> np.ndarray:
 def character_table(g: FiniteGroup) -> CharacterTable:
     """Character table via simultaneous class-matrix eigenvectors.
 
-    A random (fixed-seed) linear combination of the class-multiplication
-    matrices is diagonalized; its eigenbasis simultaneously diagonalizes
-    every class matrix when the combination separates the characters.
-    Degenerate combinations are retried with fresh coefficients, up to 20
+    A linear combination of the class-multiplication matrices is
+    diagonalized; its eigenbasis simultaneously diagonalizes every class
+    matrix when the combination separates the characters.  The
+    coefficients are fixed pseudo-random normal draws: attempt j takes
+    draws [j k, (j + 1) k) of ``numpy.random.default_rng(0).normal()``
+    for k classes, read from a table of the first 4 000 (``_normals``,
+    loaded on first use), so no ``numpy.random`` import is needed.
+    Degenerate combinations are retried with the next draws, up to 20
     attempts.
 
     Raises
@@ -260,10 +264,11 @@ def character_table(g: FiniteGroup) -> CharacterTable:
     sizes = np.array([len(c) for c in g.classes], dtype=float)
     mats = _class_matrices(g).astype(float)
 
-    rng = np.random.default_rng(0)
+    from ._normals import DRAWS
+    draws = np.frombuffer(DRAWS, dtype="<f8")
     last_error = "no attempt made"
-    for _ in range(20):
-        combo = np.tensordot(rng.normal(size=k), mats, axes=1)
+    for attempt in range(20):
+        combo = np.tensordot(draws[attempt * k:(attempt + 1) * k], mats, axes=1)
         eigvals, vecs = np.linalg.eig(combo)
         scale = max(1.0, float(np.abs(eigvals).max()))
         gaps = np.abs(eigvals[:, None] - eigvals[None, :]) + np.eye(k) * scale

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MdkError, SearchBudgetError, _Budget
-from .modular_data import ModularData
+from .modular_data import ModularData, _intertwines
 from .numeric import INTEGER_EPS, check_bytes, rationalize, rref
 
 __all__ = [
@@ -454,16 +454,6 @@ def _greedy_order(nonzero: np.ndarray, boxes: list[int]) -> list[int]:
         k = max(rest, key=lambda r: (rows[r] & once).bit_count() * top
                 - boxes[r])
         rest.remove(k)
-
-
-def _intertwines(Z: np.ndarray, left: ModularData, right: ModularData):
-    """(ok, S residual, T residual) of Z as an intertwiner of the pair;
-    of each matrix, as arrays, when Z is a stack of matrices."""
-    Z = Z.astype(complex)  # once, not once per product
-    s_res = np.abs(Z @ left.S - right.S @ Z).max(axis=(-2, -1))
-    t_res = np.abs(Z * left.T - right.T[:, None] * Z).max(axis=(-2, -1))
-    ok = np.maximum(s_res, t_res) <= max(left.eps, right.eps, 1e-9)
-    return ok, s_res, t_res
 
 
 def enumerate_invariants(left: ModularData, right: ModularData | None = None

@@ -158,17 +158,22 @@ def permutation_from_matrix(m: np.ndarray, eps: float) -> list[int] | None:
 
     Returns None if m is not within eps of a permutation matrix.
     """
-    n = m.shape[0]
-    if m.shape != (n, n):
-        return None
+    return permutation_with_residual(m, eps)[0]
+
+
+def permutation_with_residual(m: np.ndarray, eps: float
+                              ) -> tuple[list[int] | None, float]:
+    """:func:`permutation_from_matrix` of m, and max |m - round(Re m)|,
+    from one rounding pass."""
     rounded = np.round(m.real)
-    if np.abs(m - rounded).max() > eps:
-        return None
-    if not ((rounded == 0) | (rounded == 1)).all():
-        return None
-    if (rounded.sum(axis=0) != 1).any() or (rounded.sum(axis=1) != 1).any():
-        return None
-    return rounded.argmax(axis=1).tolist()
+    r = float(np.abs(m - rounded).max())
+    n = m.shape[0]
+    if (m.shape != (n, n) or r > eps
+            or not ((rounded == 0) | (rounded == 1)).all()
+            or (rounded.sum(axis=0) != 1).any()
+            or (rounded.sum(axis=1) != 1).any()):
+        return None, r
+    return rounded.argmax(axis=1).tolist(), r
 
 
 def rref(mat: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, list[int]]:

@@ -113,7 +113,6 @@ def test_invariants_table_builds_the_commutant_once(monkeypatch):
         return commutant_basis(*args)
 
     monkeypatch.setattr("mdkit.invariants.commutant_basis", counted)
-    monkeypatch.setattr("mdkit.cli.commutant_basis", counted)
     code, out, _ = mdk("invariants", "double:Z_2", "double:Z_2")
     assert code == 0 and out.startswith("commutant dimension")
     assert len(calls) == 1

@@ -1,5 +1,6 @@
 """Tests for finite groups and character tables."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from mdkit import (DegeneracyResolutionError, GROUP_PRESETS, MdkError,
                    NotAGroupError, UnknownPresetError, centralizer,
                    character_table, cyclic, direct_product, group_from_table,
                    group_preset)
+from mdkit import _normals, groups
 
 
 def test_cyclic_group():
@@ -183,3 +185,62 @@ def test_character_table_nonabelian_s3_values():
 def test_character_table_order_cap():
     with pytest.raises(MdkError):
         character_table(cyclic(201))
+
+
+def test_normals_are_the_first_draws_of_the_seeded_stream():
+    # the table stands in for numpy.random.default_rng(0).normal(): 20
+    # attempts at up to 200 classes read at most its 4 000 draws
+    draws = np.random.default_rng(0).normal(size=20 * 200)
+    assert _normals.DRAWS == draws.astype("<f8").tobytes()
+
+
+def _table_digest(h, tag, table):
+    v = table.values
+    h.update(repr((tag, v.dtype.str, v.shape, table.class_sizes,
+                   table.degrees)).encode() + v.tobytes())
+
+
+def test_character_tables_match_pinned_digest():
+    # every bit of the table of each preset group and of the centralizer
+    # of each of its elements, as the drawn coefficients gave it
+    h = hashlib.sha256()
+    for name in GROUP_PRESETS:
+        g = group_preset(name)
+        _table_digest(h, (name,), character_table(g))
+        for a in range(g.order):
+            _table_digest(h, (name, a), character_table(centralizer(g, a).group))
+    assert h.hexdigest()[:24] == "3ac04fb051211bb4c0020070"
+
+
+@pytest.mark.parametrize("name, digest", [("S3", "b8d540c09973cd9775aa692c"),
+                                          ("Z_6", "13c89d514e715c2aab9b19aa")])
+def test_forced_retries_read_the_next_draws(monkeypatch, name, digest):
+    # three failed inversions: attempt 3 combines draws [3k, 4k), and the
+    # table is the one those draws gave when they came from the generator
+    g = group_preset(name)
+    k = len(g.classes)
+    combos, inv_calls = [], []
+    real_eig, real_inv = np.linalg.eig, np.linalg.inv
+
+    def eig(a):
+        combos.append(a.copy())
+        return real_eig(a)
+
+    def inv(a):
+        inv_calls.append(None)
+        if len(inv_calls) <= 3:
+            raise np.linalg.LinAlgError("forced")
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    table = character_table(g)
+    assert len(combos) == 4
+    draws = np.random.default_rng(0).normal(size=4 * k)
+    mats = groups._class_matrices(g).astype(float)
+    for j, combo in enumerate(combos):
+        want = np.tensordot(draws[j * k:(j + 1) * k], mats, axes=1)
+        assert np.array_equal(combo, want)
+    h = hashlib.sha256()
+    _table_digest(h, (name,), table)
+    assert h.hexdigest()[:24] == digest
