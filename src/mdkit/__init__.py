@@ -57,32 +57,7 @@ _HOME_OF = {name: f"{__name__}.{home}" for home, names in _HOMES.items()
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MdkError", "DimensionMismatchError", "NonIntegralError",
-    "NotAGroupError", "DegeneracyResolutionError", "DegenerateFormError",
-    "NonRationalChargeError", "ValidationFailedError", "SearchBudgetError",
-    "IncompleteEnumerationError", "SpecParseError", "UnknownPresetError",
-    "ToleranceError",
-    "ModularData", "Check", "ValidationReport", "FusionRing", "validate",
-    "verlinde_fusion", "gauss_sum", "central_charge", "deligne_product",
-    "reverse", "charge_conjugation",
-    "FiniteGroup", "Subgroup", "CharacterTable", "group_from_table",
-    "cyclic", "direct_product", "group_preset", "GROUP_PRESETS",
-    "centralizer", "character_table",
-    "QuadraticForm", "pointed", "drinfeld_double", "twisted_double_cyclic",
-    "su2_level", "preset", "PRESETS", "equivalent_up_to_relabeling",
-    "CommutantBasis", "ModularInvariant", "commutant_basis",
-    "enumerate_invariants", "classify_invariant",
-    "AlgebraCandidate", "screen_algebra", "local_modules_dim",
-    "algebra_from_invariant", "WittInvariants", "witt_invariants",
-    "witt_product", "witt_inverse", "WittObstruction", "witt_obstruction",
-    "AnisotropyReport", "anisotropy_screen",
-    "BuildSpec", "parse_spec", "render", "evaluate",
-    "dump_modular_data", "load_modular_data", "dump_group", "load_group",
-    "resolve_group",
-    "unit_root", "phase_fraction", "default_eps",
-    "__version__",
-]
+__all__ = [*_HOME_OF, "__version__"]
 
 
 class _Package(types.ModuleType):

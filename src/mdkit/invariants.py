@@ -149,8 +149,8 @@ _GRAM_NODE_CAP = 100_000
 # Entries of one trial array of the invariant search (64 KB of int64):
 # the walk expands blocks of sibling nodes of about this size at once.
 _BLOCK_ENTRIES = 8192
-# Matrix entries of the found invariants checked against S and T in one
-# batched product (about 1 MB per complex temporary).
+# Matrix entries of the found invariants, or of the commutant's rows,
+# checked in one batched product (about 1 MB per complex temporary).
 _VERIFY_ENTRIES = 1 << 16
 
 
@@ -184,9 +184,11 @@ def commutant_basis(left: ModularData,
     numerators over one common denominator, each distinct value
     approximated with denominator up to 10^6.  Every rationalized row is
     then checked against the full relation Z S_L = S_R Z (real and
-    imaginary parts within 1e-6); if one fails, the float basis is kept
-    and ``rationalized`` is False.  Raises MdkError when the estimated
-    memory of the eigensolve is past ``numeric._BYTES_CAP``.
+    imaginary parts within 1e-6), a block of rows of about
+    ``_VERIFY_ENTRIES`` matrix entries at a time rather than as one
+    (m, rR, rL) stack; if one row fails, the float basis is kept and
+    ``rationalized`` is False.  Raises MdkError when the estimated memory
+    of the eigensolve is past ``numeric._BYTES_CAP``.
     """
     if right is None:
         right = left
@@ -233,10 +235,16 @@ def commutant_basis(left: ModularData,
         raise MdkError("null-space basis lost rank during canonicalization")
     exact = rationalize(R, max_den=10 ** 6, tol=1e-7)
     if exact is not None:
-        B = np.zeros((m, rR, rL))
-        B[:, js, is_] = exact[0] / exact[1]
-        if max(np.abs(B @ SL.real - SR.real @ B).max(),
-               np.abs(B @ SL.imag - SR.imag @ B).max()) <= 1e-6:
+        rows = exact[0] / exact[1]
+        step = max(1, _VERIFY_ENTRIES // (rR * rL))
+        for start in range(0, m, step):
+            block = rows[start:start + step]
+            B = np.zeros((len(block), rR, rL))
+            B[:, js, is_] = block
+            if max(np.abs(B @ SL.real - SR.real @ B).max(),
+                   np.abs(B @ SL.imag - SR.imag @ B).max()) > 1e-6:
+                break
+        else:
             return CommutantBasis(rL, rR, positions, *exact, tuple(pivots),
                                   True)
     return CommutantBasis(rL, rR, positions, R, 1, tuple(pivots), False)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +23,7 @@ from .errors import (DimensionMismatchError, MdkError, NonIntegralError,
                      NonRationalChargeError, ValidationFailedError)
 from .numeric import (CHARGE_DENOMINATOR_CAP, INTEGER_EPS, TWIST_ORDER_CAP,
                       check_bytes, checked_eps, default_eps,
-                      _best_rational, _mix, _phase_root, permutation_from_matrix,
+                      _best_rational, _mix, _phase_root,
                       permutation_with_residual, unit_root)
 
 __all__ = [
@@ -131,9 +132,10 @@ class ModularData:
     @functools.cached_property
     def _charge(self) -> np.ndarray | None:
         """Charge conjugation C = S^2 as an index array, None when S^2 is
-        no permutation within eps; :func:`validate` records it, and
-        products and mirrors form it from their inputs' without S."""
-        return _perm_array(permutation_from_matrix(self.S @ self.S, self.eps))
+        no permutation within eps: the one :func:`validate` records.
+        Products and mirrors form it at construction from their inputs'."""
+        self.validation()
+        return vars(self)["_charge"]
 
     @functools.cached_property
     def dims(self) -> np.ndarray:
@@ -552,58 +554,58 @@ class _DeligneProduct(ModularData):
 
     Algebra screens and Witt invariants on a product read only its
     dimensions and twists, so the (rank_a rank_b)^2 S matrix is never
-    built for them, nor the S of a mirror factor: row 0 of S is the
-    Kronecker product of the factors' rows 0.  T and that row, 32 bytes
-    per object, are checked against ``numeric._BYTES_CAP`` first.  S,
-    once formed, equals ``np.kron(a.S, b.S)`` bit for bit.  Each lazy
-    attribute is formed on the products and mirrors below first (see
-    :func:`_form_inputs_first`), so no nesting depth is too deep for it.
+    built for them, nor the S of a mirror factor.  T, row 0 of S (the
+    Kronecker product of the factors' rows 0) and the charge conjugation
+    are formed at construction from the factors', 40 bytes per object
+    checked against ``numeric._BYTES_CAP`` first.  S, once formed, equals
+    ``np.kron(a.S, b.S)`` bit for bit; it is formed on the products and
+    mirrors below first (see :func:`_form_inputs_first`), so no nesting
+    depth is too deep for it, nor for the labels.
     """
 
     _inherits_gate = True
 
     def __init__(self, a: ModularData, b: ModularData):
         rank = a.rank * b.rank
-        check_bytes(32 * rank, f"product at rank {rank}")
+        check_bytes(40 * rank, f"product at rank {rank}")
         T = np.outer(a.T, b.T).ravel()
         T.setflags(write=False)
-        vars(self).update(_factors=(a, b), T=T, rank=rank, eps=max(a.eps, b.eps))
+        charge = _perm_array((a._charge[:, None] * b.rank + b._charge).ravel())
+        vars(self).update(_factors=(a, b), T=T, rank=rank,
+                          eps=max(a.eps, b.eps), _charge=charge,
+                          _row0=np.outer(a._row0, b._row0).ravel())
 
     @functools.cached_property
     def labels(self) -> tuple[str, ...]:
-        _form_inputs_first(self, "labels")
-        a, b = self._factors
-        return tuple(f"{la}⊗{lb}" for la in a.labels for lb in b.labels)
+        # the label tuples of the leaves and mirrors in Kronecker order, by
+        # an explicit stack that caches nothing on the products below; "⊗"
+        # joins one of each into the string nested "left⊗right" pairs give
+        leaves, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _DeligneProduct):
+                stack += reversed(node._factors)
+            else:
+                leaves.append(node.labels)
+        return tuple(map("⊗".join, itertools.product(*leaves)))
 
     @functools.cached_property
     def S(self) -> np.ndarray:
         check_bytes(16 * self.rank ** 2, f"product S at rank {self.rank}")
-        _form_inputs_first(self, "S")
+        _form_inputs_first(self)
         a, b = self._factors
         S = np.kron(a.S, b.S)
         S.setflags(write=False)
         return S
 
-    @functools.cached_property
-    def _row0(self) -> np.ndarray:
-        _form_inputs_first(self, "_row0")
-        a, b = self._factors
-        return np.outer(a._row0, b._row0).ravel()
 
-    @functools.cached_property
-    def _charge(self) -> np.ndarray:
-        _form_inputs_first(self, "_charge")
-        a, b = self._factors
-        return _perm_array((a._charge[:, None] * b.rank + b._charge).ravel())
-
-
-def _form_inputs_first(md: ModularData, name: str) -> None:
-    """Form the lazy attribute ``name`` on every product and mirror that
-    ``md`` is built from, each after its own inputs.
+def _form_inputs_first(md: ModularData) -> None:
+    """Form S on every product and mirror that ``md`` is built from, each
+    after its own inputs.
 
     The tree is walked with an explicit stack, each shared node once, so
-    that forming ``name`` on ``md`` then reads only formed attributes of
-    its inputs, however deeply products and mirrors nest.
+    that forming S on ``md`` then reads only formed matrices of its
+    inputs, however deeply products and mirrors nest.
     """
     order, seen = [], set()
     stack = [(x, False) for x in _inputs(md)]
@@ -611,11 +613,11 @@ def _form_inputs_first(md: ModularData, name: str) -> None:
         node, expanded = stack.pop()  # expanded: its inputs are in order
         if expanded:
             order.append(node)
-        elif _inputs(node) and name not in vars(node) and id(node) not in seen:
+        elif _inputs(node) and "S" not in vars(node) and id(node) not in seen:
             seen.add(id(node))
             stack += [(node, True)] + [(x, False) for x in _inputs(node)]
     for node in order:
-        getattr(node, name)
+        node.S
 
 
 def _inputs(md: ModularData) -> tuple[ModularData, ...]:
@@ -640,11 +642,12 @@ def reverse(md: ModularData) -> ModularData:
 class _Reverse(ModularData):
     """The mirror of gated data, whose S is conjugated on first use.
 
-    Row 0 of its S is the conjugate of the original's, formed without
-    either S, so a mirror, alone or as a product factor, answers screens
-    that read only dimensions and twists without forming S.  The
-    conjugate S is taken of the original's S, never rebuilt from factors:
-    that keeps its signed zeros, and so the bytes of every serialization.
+    T, row 0 of S and the charge conjugation (the original's, as
+    conj(S)^2 = conj(C) = C) are formed at construction without either
+    S, so a mirror, alone or as a product factor, answers screens that
+    read only dimensions and twists without forming S.  The conjugate S
+    is taken of the original's S, never rebuilt from factors: that keeps
+    its signed zeros, and so the bytes of every serialization.
     """
 
     _inherits_gate = True
@@ -652,7 +655,8 @@ class _Reverse(ModularData):
     def __init__(self, md: ModularData):
         T = np.conj(md.T)
         T.setflags(write=False)
-        vars(self).update(_inner=md, T=T, rank=md.rank, labels=md.labels,
+        vars(self).update(_inner=md, T=T, _row0=np.conj(md._row0),
+                          _charge=md._charge, rank=md.rank, labels=md.labels,
                           eps=md.eps)
 
     @functools.cached_property
@@ -661,20 +665,12 @@ class _Reverse(ModularData):
         S.setflags(write=False)
         return S
 
-    @functools.cached_property
-    def _row0(self) -> np.ndarray:
-        return np.conj(self._inner._row0)
-
-    @functools.cached_property
-    def _charge(self) -> np.ndarray:
-        return self._inner._charge  # conj(S)^2 = conj(C) = C
-
 
 def charge_conjugation(md: ModularData) -> list[int]:
     """The permutation C with S^2 = C; an involution fixing 0.
 
     Read off the record :func:`validate` keeps; a product or mirror
-    forms it from its inputs'.
+    formed it from its inputs' at construction.
 
     Raises
     ------

@@ -1,6 +1,7 @@
 """Tests for build-spec parsing, rendering, evaluation and JSON files."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,3 +341,33 @@ def test_deeply_nested_products_answer_like_their_one_factor():
             == modular_data.charge_conjugation(su2))
     assert modular_data.validate(md).ok
     assert np.array_equal(verlinde_fusion(md).N, verlinde_fusion(su2).N)
+
+
+def test_deep_product_labels_keep_no_labels_of_the_products_below():
+    spec = Su2(3)
+    for _ in range(2000):
+        spec = Prod(spec, Preset("trivial"))
+    md = evaluate(spec)
+    tracemalloc.start()
+    try:
+        labels = md.labels
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert labels == tuple(a + "⊗1" * 2000 for a in evaluate(Su2(3)).labels)
+    assert kept < 10 ** 6
+
+
+def test_alternating_mirrors_and_products_answer_like_their_one_factor():
+    # 2 000 levels of rev(prod(..., preset:trivial)): an even number of
+    # conjugations, each product with the unit category
+    spec = Su2(3)
+    for _ in range(2000):
+        spec = Rev(Prod(spec, Preset("trivial")))
+    md, su2 = evaluate(spec), evaluate(Su2(3))
+    assert md.labels == tuple(a + "⊗1" * 2000 for a in su2.labels)
+    assert np.array_equal(md.dims, su2.dims)
+    assert (modular_data.charge_conjugation(md)
+            == modular_data.charge_conjugation(su2))
+    assert np.array_equal(md.S, su2.S)
+    assert np.array_equal(md.T, su2.T)

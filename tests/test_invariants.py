@@ -292,6 +292,29 @@ def test_float_basis_view(monkeypatch):
         assert mat.tobytes() == want.tobytes()
 
 
+def test_commutant_checks_the_rationalized_rows_of_every_block(monkeypatch):
+    # 11 rows checked three at a time: blocks of 3, 3, 3 and 2 rows
+    md = build("double:S3")
+    whole = commutant_basis(md)
+    monkeypatch.setattr(invariants, "_VERIFY_ENTRIES", 3 * md.rank ** 2)
+    blocked = commutant_basis(md)
+    assert whole.dimension == blocked.dimension == 11
+    assert blocked.rationalized and blocked.denominator == whole.denominator
+    assert blocked.coords.tobytes() == whole.coords.tobytes()
+    rationalize = numeric.rationalize
+
+    def wrong_last_row(*args, **kwargs):
+        coords, den = rationalize(*args, **kwargs)
+        coords = coords.copy()
+        coords[-1, -1] += 1
+        return coords, den
+
+    monkeypatch.setattr(invariants, "rationalize", wrong_last_row)
+    cb = commutant_basis(md)
+    assert cb.rationalized is False and cb.denominator == 1
+    assert np.abs(cb.coords - whole.coords).max() < 1e-9
+
+
 @pytest.mark.parametrize("DB, scale, slack", [
     (np.array([[2, 0, 1], [0, 2, 1]]), 2, 0),
     (np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]), 1.0, 1e-6),

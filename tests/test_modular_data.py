@@ -792,6 +792,26 @@ def test_dims_and_global_dims_match_pinned_digest():
     assert h.hexdigest()[:24] == "761df8eba183654cb0c8bd44"
 
 
+def test_labels_and_charge_conjugations_match_pinned_digest():
+    # the labels and C of every spec of the dimensions digest, pinned
+    # while products and mirrors still formed both through their factors'
+    # cached attributes
+    h = hashlib.sha256()
+    for spec in _dims_specs():
+        md = evaluate(parse_spec(spec))
+        md.require_valid()
+        h.update(repr((spec, md.labels, md._charge.tolist())).encode())
+    assert h.hexdigest()[:24] == "76956e2147348e11f366361b"
+
+
+def test_products_and_mirrors_form_row0_and_charge_at_construction():
+    a, b = preset("ising"), reverse(preset("fibonacci"))
+    for md in (b, deligne_product(a, b), reverse(deligne_product(b, a))):
+        assert {"_row0", "_charge"} <= set(vars(md))
+        assert "S" not in vars(md)
+    assert "labels" not in vars(deligne_product(a, b))
+
+
 @pytest.mark.parametrize("spec", ["su2:5", "double:Z_5", "tdouble:5:2",
                                   "double:S3", "preset:toric_code"])
 def test_validate_records_the_charge_conjugation(spec):
