@@ -70,8 +70,11 @@ def _cmd_build(args) -> int:
         md.require_valid()
     doc = dump_modular_data(md)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+        except OSError as exc:
+            raise MdkError(f"cannot write {args.output!r}: {exc}") from None
         print(f"wrote {args.output}", file=sys.stderr)
         return 0
     if args.format == "json":

@@ -14,6 +14,7 @@ import cmath
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -549,21 +550,75 @@ def deligne_product(a: ModularData, b: ModularData) -> ModularData:
     return _DeligneProduct(a, b)
 
 
-class _DeligneProduct(ModularData):
-    """A Deligne product whose S and labels are formed on first use.
-
-    Algebra screens and Witt invariants on a product read only its
-    dimensions and twists, so the (rank_a rank_b)^2 S matrix is never
-    built for them, nor the S of a mirror factor.  T, row 0 of S (the
-    Kronecker product of the factors' rows 0) and the charge conjugation
-    are formed at construction from the factors', 40 bytes per object
-    checked against ``numeric._BYTES_CAP`` first.  S, once formed, equals
-    ``np.kron(a.S, b.S)`` bit for bit; it is formed on the products and
-    mirrors below first (see :func:`_form_inputs_first`), so no nesting
-    depth is too deep for it, nor for the labels.
+class _Derived(ModularData):
+    """A product or mirror of gated data.  T, row 0 of S and C are formed
+    at construction from the inputs', which is all that algebra screens
+    and Witt invariants read.  Labels and S are formed on first use, by
+    walks with an explicit stack down to the nearest nodes that hold
+    them, so no nesting depth is too deep, and only the node asked keeps
+    what was formed.
     """
 
     _inherits_gate = True
+
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        # the label tuples of the nodes below that hold labels, in Kronecker
+        # order (a mirror's labels are its input's); "⊗" joins one of each
+        # into the string nested "left⊗right" pairs give
+        leaves, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            inputs = _inputs(node, "labels")
+            if inputs:
+                stack += reversed(inputs)
+            else:
+                leaves.append(node.labels)
+        return tuple(map("⊗".join, itertools.product(*leaves)))
+
+    @functools.cached_property
+    def S(self) -> np.ndarray:
+        # np.kron of a product's inputs' S, np.conj of a mirror's input's,
+        # formed after their inputs, each shared node once; an array is
+        # dropped once every node that reads it has formed
+        check_bytes(16 * self.rank ** 2, f"product S at rank {self.rank}")
+        order, seen, uses, stack = [], set(), Counter(), [(self, None)]
+        while stack:
+            node, inputs = stack.pop()  # inputs: None until node is expanded
+            if inputs is not None:
+                order.append((node, inputs))
+            elif id(node) not in seen:
+                seen.add(id(node))
+                inputs = _inputs(node, "S")
+                uses.update(map(id, inputs))
+                stack += [(node, inputs)] + [(x, None) for x in inputs]
+        formed = {}
+        for node, inputs in order:
+            args = [formed[id(x)] for x in inputs]
+            for x in inputs:
+                uses[id(x)] -= 1
+                if not uses[id(x)]:
+                    del formed[id(x)]
+            form = np.kron if isinstance(node, _DeligneProduct) else np.conj
+            formed[id(node)] = form(*args) if inputs else node.S
+        S = formed[id(self)]
+        S.setflags(write=False)
+        return S
+
+
+def _inputs(md: ModularData, name: str) -> tuple[ModularData, ...]:
+    """The nodes attribute ``name`` of ``md`` is formed from: none when
+    ``md`` holds it (as all data but products and mirrors do)."""
+    if name in vars(md):
+        return ()
+    return md._factors if isinstance(md, _DeligneProduct) else (md._inner,)
+
+
+class _DeligneProduct(_Derived):
+    """A Deligne product: T, row 0 of S (the Kronecker product of the
+    factors' rows 0) and C formed from its factors', 40 bytes per object
+    checked against ``numeric._BYTES_CAP`` first.  S, once formed, equals
+    ``np.kron(a.S, b.S)`` bit for bit."""
 
     def __init__(self, a: ModularData, b: ModularData):
         rank = a.rank * b.rank
@@ -574,57 +629,6 @@ class _DeligneProduct(ModularData):
         vars(self).update(_factors=(a, b), T=T, rank=rank,
                           eps=max(a.eps, b.eps), _charge=charge,
                           _row0=np.outer(a._row0, b._row0).ravel())
-
-    @functools.cached_property
-    def labels(self) -> tuple[str, ...]:
-        # the label tuples of the leaves and mirrors in Kronecker order, by
-        # an explicit stack that caches nothing on the products below; "⊗"
-        # joins one of each into the string nested "left⊗right" pairs give
-        leaves, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _DeligneProduct):
-                stack += reversed(node._factors)
-            else:
-                leaves.append(node.labels)
-        return tuple(map("⊗".join, itertools.product(*leaves)))
-
-    @functools.cached_property
-    def S(self) -> np.ndarray:
-        check_bytes(16 * self.rank ** 2, f"product S at rank {self.rank}")
-        _form_inputs_first(self)
-        a, b = self._factors
-        S = np.kron(a.S, b.S)
-        S.setflags(write=False)
-        return S
-
-
-def _form_inputs_first(md: ModularData) -> None:
-    """Form S on every product and mirror that ``md`` is built from, each
-    after its own inputs.
-
-    The tree is walked with an explicit stack, each shared node once, so
-    that forming S on ``md`` then reads only formed matrices of its
-    inputs, however deeply products and mirrors nest.
-    """
-    order, seen = [], set()
-    stack = [(x, False) for x in _inputs(md)]
-    while stack:
-        node, expanded = stack.pop()  # expanded: its inputs are in order
-        if expanded:
-            order.append(node)
-        elif _inputs(node) and "S" not in vars(node) and id(node) not in seen:
-            seen.add(id(node))
-            stack += [(node, True)] + [(x, False) for x in _inputs(node)]
-    for node in order:
-        node.S
-
-
-def _inputs(md: ModularData) -> tuple[ModularData, ...]:
-    """The data a product or mirror is built from; none for other data."""
-    if isinstance(md, _DeligneProduct):
-        return md._factors
-    return (md._inner,) if isinstance(md, _Reverse) else ()
 
 
 def reverse(md: ModularData) -> ModularData:
@@ -639,31 +643,19 @@ def reverse(md: ModularData) -> ModularData:
     return md._inner if isinstance(md, _Reverse) else _Reverse(md)
 
 
-class _Reverse(ModularData):
-    """The mirror of gated data, whose S is conjugated on first use.
-
-    T, row 0 of S and the charge conjugation (the original's, as
-    conj(S)^2 = conj(C) = C) are formed at construction without either
-    S, so a mirror, alone or as a product factor, answers screens that
-    read only dimensions and twists without forming S.  The conjugate S
-    is taken of the original's S, never rebuilt from factors: that keeps
+class _Reverse(_Derived):
+    """The mirror of gated data: T, row 0 of S and the charge conjugation
+    (the original's, as conj(S)^2 = conj(C) = C) formed from the
+    original's.  Its labels are the original's, and its S is the
+    conjugate of the original's S, never rebuilt from factors: that keeps
     its signed zeros, and so the bytes of every serialization.
     """
-
-    _inherits_gate = True
 
     def __init__(self, md: ModularData):
         T = np.conj(md.T)
         T.setflags(write=False)
         vars(self).update(_inner=md, T=T, _row0=np.conj(md._row0),
-                          _charge=md._charge, rank=md.rank, labels=md.labels,
-                          eps=md.eps)
-
-    @functools.cached_property
-    def S(self) -> np.ndarray:
-        S = np.conj(self._inner.S)
-        S.setflags(write=False)
-        return S
+                          _charge=md._charge, rank=md.rank, eps=md.eps)
 
 
 def charge_conjugation(md: ModularData) -> list[int]:

@@ -371,3 +371,20 @@ def test_alternating_mirrors_and_products_answer_like_their_one_factor():
             == modular_data.charge_conjugation(su2))
     assert np.array_equal(md.S, su2.S)
     assert np.array_equal(md.T, su2.T)
+
+
+def test_alternating_chain_keeps_s_and_labels_on_the_top_alone():
+    spec = Su2(3)
+    for _ in range(2000):
+        spec = Rev(Prod(spec, Preset("trivial")))
+    md = evaluate(spec)
+    assert len(md.labels) == 4 and md.S.shape == (4, 4)
+    below, node = [], md._inner
+    while isinstance(node, (modular_data._DeligneProduct,
+                            modular_data._Reverse)):
+        below.append(node)
+        node = (node._factors[0]
+                if isinstance(node, modular_data._DeligneProduct)
+                else node._inner)
+    assert len(below) == 3999
+    assert not any({"labels", "S"} & set(vars(x)) for x in below)

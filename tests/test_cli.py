@@ -372,6 +372,14 @@ def test_malformed_input_files_exit_1(prefix, doc, tmp_path):
         assert err.startswith("error: eps must be")
 
 
+def test_build_to_an_unwritable_path_exits_1(tmp_path):
+    for path in (tmp_path / "missing" / "out.json", tmp_path):
+        code, out, err = mdk("build", "preset:semion", "-o", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {str(path)!r}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def assert_clean_exit(code, err):
     # every command ends in an exit code; a domain error also ends
     # stderr with an error: line

@@ -2,6 +2,7 @@
 quantities (fusion, Gauss sums, central charge, products)."""
 
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -840,3 +841,64 @@ def test_products_and_mirrors_form_a_correct_charge_conjugation(spec):
                                                             md.eps)
     assert perm.tolist() != list(range(md.rank))
     assert charge_conjugation(md) == perm.tolist()
+
+
+def test_product_and_mirror_s_and_labels_match_pinned_digest():
+    # every byte of S and every label of products and mirrors nested each
+    # way around seven leaves, and of a product whose two factors are one
+    # shared node, pinned while S was formed on every node below first
+    leaves = ["preset:ising", "rev(preset:fibonacci)", "su2:3", "double:S3",
+              "tdouble:3:1", "preset:semion", "double:Z_2"]
+    h = hashlib.sha256()
+    for a, b in itertools.product(leaves, repeat=2):
+        for spec in (f"prod({a},{b})", f"rev(prod({a},{b}))",
+                     f"prod(rev({a}),prod({b},{a}))",
+                     f"prod(prod({a},{b}),rev(prod({b},preset:semion)))"):
+            md = evaluate(parse_spec(spec))
+            h.update(repr((spec, md.labels)).encode() + md.S.tobytes())
+    x = evaluate(parse_spec("prod(su2:2,preset:semion)"))
+    p = deligne_product(x, reverse(x))
+    q = deligne_product(p, p)
+    h.update(repr(("q", q.labels)).encode() + q.S.tobytes())
+    assert h.hexdigest()[:24] == "3ba5526fed59246ef575e07c"
+
+
+def _unit_chain(inner: str, depth: int) -> ModularData:
+    # depth levels of prod(..., preset:trivial) around one spec
+    md, unit = evaluate(parse_spec(inner)), preset("trivial")
+    for _ in range(depth):
+        md = deligne_product(md, unit)
+    return md
+
+
+def test_deep_product_s_keeps_only_the_top():
+    md = _unit_chain("double:Z_6", 1000)
+    tracemalloc.start()
+    try:
+        S = md.S
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(S, evaluate(parse_spec("double:Z_6")).S)
+    assert kept - S.nbytes < 10 ** 6
+
+
+def test_rank576_chain_s_peaks_within_three_times_its_bytes():
+    # 40 levels around a rank-576 product whose S takes 5.3 MB
+    md = _unit_chain("prod(double:Z_12,double:Z_2)", 40)
+    tracemalloc.start()
+    try:
+        S = md.S
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.shape == (576, 576)
+    assert peak <= 3 * S.nbytes
+
+
+def test_a_shared_factor_is_formed_once():
+    # 2^64 leaves below the top, 65 distinct nodes
+    md = preset("trivial")
+    for _ in range(64):
+        md = deligne_product(md, md)
+    assert md.S.tolist() == [[1]]
