@@ -302,10 +302,17 @@ def equivalent_up_to_relabeling(a: ModularData,
     IncompleteEnumerationError
         If the search tries more than ``_RELABEL_NODE_CAP`` individualisations.
     """
+    return next(_relabelings(a, b), None)
+
+
+def _relabelings(a: ModularData, b: ModularData):
+    """Every relabeling that :func:`equivalent_up_to_relabeling` checks
+    and accepts, as lists, in the order of its walk, which spends one
+    budget of ``_RELABEL_NODE_CAP`` individualisations across them all."""
     a.require_valid()
     b.require_valid()
     if a.rank != b.rank:
-        return None
+        return
     tol = max(a.eps, b.eps)
     n = a.rank
     S, T = np.stack([a.S, b.S]), np.stack([a.T, b.T])
@@ -354,7 +361,7 @@ def equivalent_up_to_relabeling(a: ModularData,
             pi = np.argsort(colours[1])[colours[0]]
             if (np.abs(S[1][np.ix_(pi, pi)] - S[0]).max() <= tol
                     and np.abs(T[1][pi] - T[0]).max() <= tol):
-                return pi.tolist()
+                yield pi.tolist()
             continue
         sizes = np.bincount(colours[0])
         cell = np.where(sizes > 1, sizes, n + 1).argmin()
@@ -363,4 +370,3 @@ def equivalent_up_to_relabeling(a: ModularData,
             branch = colours.copy()
             branch[0, v] = branch[1, w] = count
             pending.append((branch, count + 1))
-    return None

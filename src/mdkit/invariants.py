@@ -28,9 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import MdkError, SearchBudgetError, _Budget
+from .errors import (IncompleteEnumerationError, MdkError,
+                     SearchBudgetError, _Budget)
 from .modular_data import ModularData, _intertwines
-from .numeric import INTEGER_EPS, check_bytes, rationalize, rref
+from .numeric import INTEGER_EPS, _mix, check_bytes, rationalize, rref
 
 __all__ = [
     "CommutantBasis", "ModularInvariant", "commutant_basis",
@@ -146,9 +147,13 @@ class _Found:
 _NODE_CAP = 10 ** 8
 _GRAM_NODE_CAP = 100_000
 
-# Entries of one trial array of the invariant search (64 KB of int64):
-# the walk expands blocks of sibling nodes of about this size at once.
-_BLOCK_ENTRIES = 8192
+# Bytes of one trial array of the invariant search: the walk expands
+# blocks of sibling nodes of about this size at once.
+_BLOCK_BYTES = 1 << 16
+# Search boxes (the product of box + 1 over the pivot coordinates) past
+# which the search re-parametrises the commutant in settling order and
+# walks only the least vector of each orbit of the data's automorphisms.
+_LARGE_BOX = 10 ** 8
 # Matrix entries of the found invariants, or of the commutant's rows,
 # checked in one batched product (about 1 MB per complex temporary).
 _VERIFY_ENTRIES = 1 << 16
@@ -358,28 +363,39 @@ def classify_invariant(z: ModularInvariant) -> str:
     return _classify(Z)
 
 
-def _coordinate_search(DB, scale, slack, boxes, caps):
+def _coordinate_search(DB, scale, slack, boxes, caps, order=None,
+                       images=()):
     """Integer points of {sum_k c_k DB[k] / scale} with every entry in range.
 
     DB is the (m, P) basis, scaled by ``scale`` and in reduced-echelon
     form, so coordinate c_k is the entry at the k-th pivot and ranges
     over 0..boxes[k] (c_0 is fixed to 1).  After c_0, coordinates are
-    assigned greedily, first the one that settles the most entries.  The
-    walk is depth-first over blocks of sibling partial entry vectors: a
-    block of r vectors at depth t spends r * (boxes[t] + 1) values of the
-    budget, forms every v * DB[t] extension of each vector in one
-    broadcast, and keeps an extension only if every entry can still land
-    in [0, caps] given the boxes of the unassigned coordinates, and every
-    entry the assignment settles is a multiple of ``scale`` (within
-    ``slack``).  Survivors go back on the stack in blocks of about
-    _BLOCK_ENTRIES entries per trial array, first block on top.  Returns
-    the surviving entry vectors, unscaled, as a (k, P) array in
-    depth-first order.
+    assigned in ``order``, by default greedily, first the one that
+    settles the most entries.  The walk is depth-first over blocks of
+    sibling partial entry vectors: a block of r vectors at depth t spends
+    r * (boxes[t] + 1) values of the budget, forms every v * DB[t]
+    extension of each vector in one broadcast, and keeps an extension
+    only if every entry can still land in [0, caps] given the boxes of
+    the unassigned coordinates, and every entry the assignment settles is
+    a multiple of ``scale`` (within ``slack``).  An exact search holds
+    its entries in the narrowest signed integer type that covers every
+    partial sum.  Survivors go back on the stack in blocks of about
+    _BLOCK_BYTES per trial array, first block on top.
+
+    ``images`` are index arrays g of entry permutations x -> x[g] that
+    map the solution set onto itself (exact searches only).  Entries are
+    ordered by the depth at which they settle, and an extension is
+    dropped where, on the prefix of that order known for both it and its
+    image x[g], the first entry at which they differ is larger in it:
+    the least vector of each orbit under the group the images generate
+    survives.  Returns the surviving entry vectors, unscaled, as a (k, P)
+    array in depth-first order.
     """
     m, P = DB.shape
     nonzero = DB != 0
     boxes = np.asarray(boxes)
-    order = _greedy_order(nonzero, boxes.tolist())
+    if order is None:
+        order = _greedy_order(nonzero, boxes.tolist())
     # an entry is settled by the last coordinate in the order that touches it
     rank = np.empty(m, np.intp)
     rank[order] = np.arange(m)
@@ -393,38 +409,198 @@ def _coordinate_search(DB, scale, slack, boxes, caps):
     lo = np.zeros((m + 1, P), DB.dtype)
     hi[:m] = np.cumsum((np.maximum(DB, 0) * boxes)[::-1], axis=0)[::-1]
     lo[:m] = np.cumsum((np.minimum(DB, 0) * boxes)[::-1], axis=0)[::-1]
-    vals = [np.arange(1, 2)] + [np.arange(b + 1) for b in boxes[1:, 0]]
-    rows = [max(1, _BLOCK_ENTRIES // (P * v.size)) for v in vals]
+    if not slack:
+        # every partial sum lies in [lo[0], hi[0]], and settled entries
+        # and their differences in [-caps, caps]
+        top = max(int(hi[0].max()), -int(lo[0].min()), int(caps.max()), scale)
+        kind = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                    if top <= np.iinfo(t).max)
+        DB, hi, lo, caps = (x.astype(kind) for x in (DB, hi, lo, caps))
+    # per depth, the images whose prefix known on both sides grew there,
+    # with the new stretch of the prefix and of its image, padded by
+    # (0, 0) pairs, which never differ
+    checks = [None] * m
+    if images:
+        grown = np.array([np.searchsorted(np.maximum.accumulate(
+            np.maximum(last[by_last], last[g[by_last]])), np.arange(m),
+            side="right") for g in images])
+        start = np.hstack([np.zeros((len(images), 1), np.intp), grown[:, :-1]])
+        for t in range(m):
+            new = np.flatnonzero(grown[:, t] > start[:, t])
+            if new.size:
+                a = np.zeros((new.size, (grown[new, t] - start[new, t]).max()),
+                             np.intp)
+                b = a.copy()
+                for row, e in enumerate(new.tolist()):
+                    stretch = by_last[start[e, t]:grown[e, t]]
+                    a[row, :stretch.size] = stretch
+                    b[row, :stretch.size] = images[e][stretch]
+                checks[t] = (P + new, a, b)
+        # one more column per image: 1 once a vector is below its image
+        pad = np.zeros((m + 1, len(images)), DB.dtype)
+        DB, hi, lo = (np.hstack([x, pad[:len(x)]]) for x in (DB, hi, lo))
+        caps = np.concatenate([caps, pad[0] + 1])
+    W = DB.shape[1]
+    vals = [np.arange(1, 2, dtype=DB.dtype)] + [
+        np.arange(b + 1, dtype=DB.dtype) for b in boxes[1:, 0]]
+    rows = [max(1, _BLOCK_BYTES // (DB.itemsize * W * v.size)) for v in vals]
     # the stack holds, per depth, the survivors of one block of its parent
     # depth: at most that block's trials, and at most one block's worth
-    # (_BLOCK_ENTRIES, or one row's P * (box + 1)) of entries
+    # (_BLOCK_BYTES, or one row's W * (box + 1) entries)
     need, width = 0, 1
     for v, r in zip(vals, rows):
-        need += min(r, width) * v.size * P
+        need += min(r, width) * v.size * W
         width *= v.size
     check_bytes(need * DB.itemsize,
                 f"invariant search stack over {m} coordinates")
     found = [np.zeros((0, P), DB.dtype)]
     budget = _Budget("invariant search", _NODE_CAP)
-    stack = [(0, np.zeros((1, P), DB.dtype))]
+    stack = [(0, np.zeros((1, W), DB.dtype))]
     while stack:
         t, block = stack.pop()
         budget.spend(len(block) * vals[t].size)
         trial = (block[:, None, :]
-                 + vals[t][:, None] * DB[t]).reshape(-1, P)
+                 + vals[t][:, None] * DB[t]).reshape(-1, W)
         ok = ((trial + hi[t + 1] >= -slack)
               & (trial + lo[t + 1] <= caps + slack)).all(axis=1)
         if settled[t].size:
             rem = trial[:, settled[t]] % scale
             ok &= (np.minimum(rem, scale - rem) <= slack).all(axis=1)
         keep = trial[ok]
+        if checks[t] is not None:
+            below, a, b = checks[t]
+            diff = keep[:, a] - keep[:, b]
+            first = np.take_along_axis(
+                diff, (diff != 0).argmax(axis=2)[..., None], axis=2)[..., 0]
+            flags = keep[:, below]
+            keep[:, below] = flags | (first < 0)
+            keep = keep[~((first > 0) & (flags == 0)).any(axis=1)]
         if t + 1 == m:
+            keep = keep[:, :P]
             found.append(keep // scale if slack == 0 else np.rint(keep))
             continue
         r = rows[t + 1]
         stack.extend((t + 1, keep[i:i + r])
                      for i in reversed(range(0, len(keep), r)))
     return np.concatenate(found)
+
+
+def _settling_basis(cb: CommutantBasis, bounds: np.ndarray):
+    """The commutant in reduced-echelon form over pivots picked in
+    settling order, as (numerators, denominator, pivots), or None.
+
+    Entry (0, 0) is picked first.  Then, while the rows that vanish on
+    the picked entries span a space W, the next pivot is an entry of the
+    largest class of entries whose columns over W are parallel: fixing
+    it settles the whole class.  Ties go to the smaller box, then the
+    larger column weight in ``cb.coords``, then the earlier position.
+    The basis over those pivots is solved in floats and rationalized as
+    :func:`commutant_basis` does, then checked exactly in integers to
+    span the rows of ``cb.coords``; None when that fails or could
+    overflow int64.
+    """
+    m = cb.dimension
+    W = cb.coords / cb.denominator
+    weight = np.count_nonzero(cb.coords, axis=0)
+    mixer = _mix(np.arange(m, dtype=np.uint64)).view(np.int64)
+    pivots = [0]
+    while len(pivots) < m:
+        c = pivots[-1]
+        r = np.abs(W[:, c]).argmax()
+        W = np.delete(W - np.outer(W[:, c] / W[r, c], W[r]), r, axis=0)
+        W[:, c] = 0
+        size = np.abs(W).max(axis=0)
+        live = np.flatnonzero(size > 1e-9)
+        if not live.size:
+            return None
+        cols = W[:, live]
+        # scale each column by its first entry that is not (near) zero,
+        # and key its direction by a hash of the rounded entries
+        lead = (np.abs(cols) > 1e-9 * size[live]).argmax(axis=0)
+        cols = np.rint(cols / cols[lead, np.arange(len(live))] * 2 ** 20)
+        key = cols.astype(np.int64).T @ mixer[:len(W)]
+        _, group, count = np.unique(key, return_inverse=True,
+                                    return_counts=True)
+        pivots.append(int(live[np.lexsort((live, -weight[live], bounds[live],
+                                           -count[group]))[0]]))
+    M = cb.coords[:, pivots]
+    exact = rationalize(np.linalg.solve(M.astype(float), cb.coords),
+                        max_den=10 ** 6, tol=1e-7)
+    if exact is None:
+        return None
+    B, den = exact
+    widest, wide = int(np.abs(cb.coords).max()), int(np.abs(B).max())
+    if (m * widest * wide >= 2 ** 63 or den * widest >= 2 ** 63
+            or wide * int(bounds.sum()) >= 2 ** 62
+            or (B[:, pivots] != den * np.eye(m, dtype=np.int64)).any()
+            or (M @ B != den * cb.coords).any()):
+        return None
+    return B, den, pivots
+
+
+def _symmetries(cb: CommutantBasis, bounds: np.ndarray, left: ModularData,
+                right: ModularData) -> list[np.ndarray]:
+    """Index arrays g, one per S/T automorphism of either side but the
+    identity, such that x -> x[g] maps the search's solution set onto
+    itself.
+
+    An automorphism pi of ``right`` sends Z to Z' with Z'[pi(j), i] =
+    Z[j, i], one of ``left`` sends it to Z'[j, pi(i)] = Z[j, i], and
+    either keeps Z S_L = S_R Z and Z T_L = T_R Z.  The automorphisms are
+    read from the relabeling matcher's walk; when that passes its cap,
+    those found so far are used.  Each is kept only if it maps the
+    positions, the entry bounds and the rational row space of
+    ``cb.coords`` onto themselves, checked exactly in integers.
+    """
+    from .constructors import _relabelings  # loaded only for large boxes
+
+    def automorphisms(md):
+        found = []
+        try:
+            for pi in _relabelings(md, md):
+                found.append(np.array(pi))
+        except IncompleteEnumerationError:
+            pass
+        return found
+
+    js, is_ = np.array(cb.positions).T
+    at = np.full((right.rank, left.rank), -1)
+    at[js, is_] = np.arange(len(js))
+    coords, den = cb.coords, cb.denominator
+    widest = int(np.abs(coords).max())
+    if cb.dimension * widest * widest >= 2 ** 63 or den * widest >= 2 ** 63:
+        return []
+    on_left = automorphisms(left)
+    on_right = on_left if right is left else automorphisms(right)
+    images = []
+    for target in ([at[js, pi[is_]] for pi in on_left]
+                   + [at[pi[js], is_] for pi in on_right]):
+        # target[p]: where entry p goes
+        if ((target == np.arange(len(js))).all() or target[0] != 0
+                or (target < 0).any()):
+            continue
+        g = np.argsort(target)
+        image = coords[:, g]
+        if ((bounds[g] == bounds).all()
+                and (den * image == image[:, list(cb.pivots)] @ coords).all()):
+            images.append(g)
+    return images
+
+
+def _orbits(reps: np.ndarray, images: list) -> np.ndarray:
+    """Every vector x[g1][g2]... reached from the rows of ``reps``, each
+    once: the orbits of the reps under the group the images generate."""
+    seen = {x.tobytes() for x in reps}
+    out, new = [reps], reps
+    while images and len(new):
+        fresh = []
+        for x in np.concatenate([new[:, g] for g in images]):
+            if x.tobytes() not in seen:
+                seen.add(x.tobytes())
+                fresh.append(x)
+        new = np.array(fresh, reps.dtype).reshape(-1, reps.shape[1])
+        out.append(new)
+    return np.concatenate(out)
 
 
 def _greedy_order(nonzero: np.ndarray, boxes: list[int]) -> list[int]:
@@ -481,7 +657,21 @@ def enumerate_invariants(left: ModularData, right: ModularData | None = None
     searched exactly, as an int64 matrix scaled by the common denominator
     of its entries; a float basis (rationalization failed, or the scaled
     search could overflow int64) is searched with 1e-6 integrality and
-    bound slack.  The results are verified against S and T in batched
+    bound slack.
+
+    When the search box, the product of (box + 1) over the pivot
+    coordinates, passes _LARGE_BOX (10^8) and the search is exact, the
+    walk changes in two ways.  The commutant is re-parametrised over
+    pivots picked in settling order (see ``_settling_basis``), and the
+    coordinates are assigned in that order.  The S/T automorphisms of
+    both sides act on the solutions, and the walk keeps only the least
+    solution of each orbit (lex-leader pruning; Crawford, Ginsberg, Luks
+    and Roy, KR 1996), cutting a partial vector as soon as, on the
+    entries known for it and for its image, it is the larger; the
+    survivors are then closed under the same automorphisms.  Smaller
+    boxes are walked as described above, coordinate for coordinate.
+
+    The results are verified against S and T in batched
     products before they are returned, and each remembers the pair it
     was verified against.  Trying more than _NODE_CAP (10^8) coordinate
     values raises IncompleteEnumerationError rather than returning a
@@ -508,13 +698,22 @@ def _invariants_in(cb: CommutantBasis, left: ModularData,
     bounds = np.floor(left.dims[is_] * right.dims[js] + INTEGER_EPS).astype(np.int64)
     boxes = bounds[list(cb.pivots)]
     widest = int(np.abs(cb.coords).max())
-    if cb.rationalized and widest * int(bounds.sum()) < 2 ** 62:
+    exact = cb.rationalized and widest * int(bounds.sum()) < 2 ** 62
+    if exact:
         DB, scale, slack = cb.coords, cb.denominator, 0
         caps = scale * bounds
     else:
         DB, scale, slack = cb.coords / cb.denominator, 1.0, INTEGER_EPS
         caps = bounds.astype(float)
-    found = _coordinate_search(DB, scale, slack, boxes, caps)
+    order, images = None, []
+    if exact and math.prod(b + 1 for b in boxes.tolist()) > _LARGE_BOX:
+        images = _symmetries(cb, bounds, left, right)
+        settling = _settling_basis(cb, bounds)
+        if settling is not None:
+            DB, scale, pivots = settling
+            boxes, caps, order = bounds[pivots], scale * bounds, range(len(DB))
+    found = _orbits(_coordinate_search(DB, scale, slack, boxes, caps, order,
+                                       images), images)
 
     Zs = np.zeros((len(found), right.rank, left.rank), dtype=np.int64)
     Zs[:, js, is_] = found

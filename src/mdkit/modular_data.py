@@ -565,7 +565,9 @@ class _Derived(ModularData):
     def labels(self) -> tuple[str, ...]:
         # the label tuples of the nodes below that hold labels, in Kronecker
         # order (a mirror's labels are its input's); "⊗" joins one of each
-        # into the string nested "left⊗right" pairs give
+        # into the string nested "left⊗right" pairs give, 2 bytes a
+        # character, sized first
+        check_bytes(2 * _label_chars(self), f"product labels at rank {self.rank}")
         leaves, stack = [], [self]
         while stack:
             node = stack.pop()
@@ -604,6 +606,32 @@ class _Derived(ModularData):
         S = formed[id(self)]
         S.setflags(write=False)
         return S
+
+
+def _label_chars(md: ModularData) -> int:
+    """Characters of the labels of ``md`` once joined, from one pass over
+    the unique nodes below it: a product of a (r_a labels, c_a characters)
+    and b has r_a r_b labels of r_b c_a + r_a c_b + r_a r_b characters,
+    "⊗" included, and a mirror has its input's."""
+    sizes, stack = {}, [md]
+    while stack:
+        node = stack[-1]
+        inputs = _inputs(node, "labels")
+        todo = [x for x in inputs if id(x) not in sizes]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        if id(node) in sizes:
+            continue
+        if not inputs:
+            sizes[id(node)] = len(node.labels), sum(map(len, node.labels))
+        elif len(inputs) == 1:
+            sizes[id(node)] = sizes[id(inputs[0])]
+        else:
+            (ra, ca), (rb, cb) = (sizes[id(x)] for x in inputs)
+            sizes[id(node)] = ra * rb, rb * ca + ra * cb + ra * rb
+    return sizes[id(md)][1]
 
 
 def _inputs(md: ModularData, name: str) -> tuple[ModularData, ...]:

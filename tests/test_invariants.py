@@ -1,6 +1,7 @@
 """Tests for the commutant basis and the modular invariant solver."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from mdkit import (IncompleteEnumerationError, ModularData, ModularInvariant,
                    classify_invariant, commutant_basis, enumerate_invariants,
                    MdkError, evaluate, parse_spec, preset, reverse,
                    su2_level)
-from mdkit import invariants, numeric
+from mdkit import constructors, invariants, numeric
 from mdkit.invariants import _classify, _coordinate_search
 
 
@@ -476,7 +477,7 @@ def test_block_size_does_not_change_the_answer(spec, entries, monkeypatch):
                         lambda *args: found.append(real(*args)) or found[-1])
     md = build(spec)
     want = invariant_bytes(enumerate_invariants(md))
-    monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(invariants, "_BLOCK_BYTES", entries)
     assert invariant_bytes(enumerate_invariants(md)) == want
     assert found[0].tobytes() == found[1].tobytes()
 
@@ -614,3 +615,157 @@ def test_greedy_order_matches_the_counting_reference():
             boxes = rng.integers(0, 5, len(nonzero)).tolist()
             assert (invariants._greedy_order(nonzero, boxes)
                     == _greedy_order_by_counting(nonzero, boxes))
+
+
+def _invariants_digest(invs, kinds=True):
+    h = hashlib.sha256()
+    for z in invs:
+        h.update(z.Z.tobytes() + (z.kind.encode() if kinds else b""))
+    return h.hexdigest()[:24]
+
+
+def _bounds(cb, left, right):
+    js, is_ = np.array(cb.positions).T
+    return np.floor(left.dims[is_] * right.dims[js] + 1e-6).astype(np.int64)
+
+
+# (left, right, seed of a relabeling of the right side or None)
+LARGE_BOX_PAIRS = [
+    (s, s, seed) for s in ("double:S3", "double:Z_4", "double:Z_6",
+                           "prod(su2:4,su2:4)") for seed in (None, 3)
+] + [("preset:toric_code", "preset:double_semion", None),
+     ("double:Z_2", "preset:toric_code", None),
+     ("double:Z_3", "tdouble:3:0", None)]
+
+
+@pytest.mark.parametrize("left, right, seed", LARGE_BOX_PAIRS)
+def test_large_box_walk_matches_the_plain_walk(left, right, seed,
+                                               monkeypatch):
+    left, right = build(left), build(right)
+    if seed is not None:
+        right = _relabeled_by_seed(right, seed)
+    used = []
+    real = invariants._symmetries
+    monkeypatch.setattr(invariants, "_symmetries",
+                        lambda *args: used.append(real(*args)) or used[-1])
+    monkeypatch.setattr(invariants, "_LARGE_BOX", math.inf)
+    want = invariant_bytes(enumerate_invariants(left, right))
+    assert used == []
+    monkeypatch.setattr(invariants, "_LARGE_BOX", 0)
+    assert invariant_bytes(enumerate_invariants(left, right)) == want
+    assert len(used) == 1 and used[0]  # the walk pruned by some symmetry
+
+
+@pytest.mark.parametrize("sides, images", [
+    ((), 0), ("left", 3), ("right", 3), (("left", "right"), 6)])
+def test_any_set_of_symmetries_gives_the_same_answer(sides, images,
+                                                     monkeypatch):
+    # double:Z_4 has 4 automorphisms: 3 images a side but the identity
+    left = build("double:Z_4")
+    right = _relabeled_by_seed(left, 7)
+    want = invariant_bytes(enumerate_invariants(left, right))
+    keep = [md for name, md in (("left", left), ("right", right))
+            if name in sides]
+    real = constructors._relabelings
+
+    def some(a, b):
+        if any(a is md for md in keep):
+            yield from real(a, b)
+        else:
+            yield list(range(a.rank))
+
+    used = []
+    real_symmetries = invariants._symmetries
+    monkeypatch.setattr(constructors, "_relabelings", some)
+    monkeypatch.setattr(invariants, "_symmetries", lambda *args: used.append(
+        real_symmetries(*args)) or used[-1])
+    monkeypatch.setattr(invariants, "_LARGE_BOX", 0)
+    assert invariant_bytes(enumerate_invariants(left, right)) == want
+    assert len(used[0]) == images
+
+
+def test_automorphisms_past_the_matcher_cap_still_give_the_answer(
+        monkeypatch):
+    md = build("double:Z_6")
+    want = invariant_bytes(enumerate_invariants(md))
+    cb = commutant_basis(md)
+    full = invariants._symmetries(cb, _bounds(cb, md, md), md, md)
+    # 7 nodes find 4 of the 8 automorphisms
+    monkeypatch.setattr(constructors, "_RELABEL_NODE_CAP", 7)
+    cut = invariants._symmetries(cb, _bounds(cb, md, md), md, md)
+    assert len(cut) == 6 and len(full) == 14
+    assert invariant_bytes(enumerate_invariants(md)) == want
+
+
+def test_a_permutation_that_is_no_exact_symmetry_is_rejected(monkeypatch):
+    # objects 1 and 2 of double:Z_3 share d and theta, so swapping them
+    # keeps the positions and the bounds, but not the commutant
+    md = build("double:Z_3")
+    cb = commutant_basis(md)
+    bounds = _bounds(cb, md, md)
+    swap = [0, 2, 1] + list(range(3, md.rank))
+    assert abs(md.T[1] - md.T[2]) < 1e-12 and md.dims[1] == md.dims[2]
+    monkeypatch.setattr(constructors, "_relabelings",
+                        lambda a, b: iter([list(range(md.rank)), swap]))
+    assert invariants._symmetries(cb, bounds, md, md) == []
+    # nor is one that moves an entry off the positions the twists allow
+    off = [0, 4, 2, 3, 1] + list(range(5, md.rank))
+    assert abs(md.T[1] - md.T[4]) > 1e-3
+    monkeypatch.setattr(constructors, "_relabelings",
+                        lambda a, b: iter([off]))
+    assert invariants._symmetries(cb, bounds, md, md) == []
+
+
+def test_walk_holds_entries_in_the_narrowest_type(monkeypatch):
+    found = []
+    real = invariants._coordinate_search
+    monkeypatch.setattr(invariants, "_coordinate_search",
+                        lambda *args: found.append(real(*args)) or found[-1])
+    enumerate_invariants(build("su2:4"))
+    enumerate_invariants(build("double:Q8"))
+    assert [rows.dtype for rows in found] == [np.int8, np.int16]
+
+
+def test_double_q8_invariants_match_the_pinned_digest():
+    # 258 invariants, pinned from the plain walk's answer (50 s); a
+    # relabeled right side gives the same matrices once it is undone
+    md = build("double:Q8")
+    invs = enumerate_invariants(md)
+    assert len(invs) == 258
+    assert _invariants_digest(invs) == "3907ff243ec01ef7dffb1432"
+    assert _invariants_digest(invs, kinds=False) == "f4c71a0f2774953e51415613"
+    rng = np.random.default_rng(7)
+    perm = np.concatenate(([0], 1 + rng.permutation(md.rank - 1)))
+    undone = []
+    for z in enumerate_invariants(md, _relabeled(md, perm)):
+        Z = np.empty_like(z.Z)
+        Z[perm] = z.Z
+        undone.append(Z)
+    undone.sort(key=lambda Z: (int(Z.sum()), Z.ravel().tolist()))
+    h = hashlib.sha256(b"".join(Z.tobytes() for Z in undone))
+    assert h.hexdigest()[:24] == "f4c71a0f2774953e51415613"
+
+
+def test_rank32_product_invariants_match_the_pinned_digest():
+    md = build("prod(double:S3,double:Z_2)")
+    invs = enumerate_invariants(md)
+    assert len(invs) == 1332
+    assert _invariants_digest(invs) == "5c9f842eed5f3aebcca37d4a"
+    mats = {z.Z.tobytes() for z in invs}
+    assert mats == {np.ascontiguousarray(z.Z.T).tobytes() for z in invs}
+
+
+def test_double_d4_still_stops_at_the_node_cap(monkeypatch):
+    monkeypatch.setattr("mdkit.invariants._NODE_CAP", 10 ** 5)
+    with pytest.raises(IncompleteEnumerationError) as exc:
+        enumerate_invariants(build("double:D4"))
+    assert exc.value.cap == 10 ** 5
+
+
+def test_large_box_walk_without_a_settling_basis_keeps_the_answer(
+        monkeypatch):
+    # the commutant's own pivots, in the greedy order, still pruned
+    md = build("double:Z_6")
+    want = invariant_bytes(enumerate_invariants(md))
+    monkeypatch.setattr(invariants, "_settling_basis", lambda *args: None)
+    assert invariant_bytes(enumerate_invariants(md)) == want

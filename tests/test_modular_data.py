@@ -902,3 +902,20 @@ def test_a_shared_factor_is_formed_once():
     for _ in range(64):
         md = deligne_product(md, md)
     assert md.S.tolist() == [[1]]
+
+
+def _shared_dag(depth: int) -> ModularData:
+    md = preset("trivial")
+    for _ in range(depth):
+        md = deligne_product(md, md)
+    return md
+
+
+def test_labels_of_a_shared_dag_are_sized_before_they_are_joined():
+    # 2^17 - 1 characters at 16 levels; 2^65 - 1 at 64, refused at once
+    want = "1"
+    for _ in range(16):
+        want = f"{want}⊗{want}"
+    assert _shared_dag(16).labels == (want,)
+    with pytest.raises(MdkError, match="product labels at rank 1 needs"):
+        _shared_dag(64).labels

@@ -111,3 +111,16 @@ def test_coarse_eps_results_are_still_checked():
     a = evaluate(parse_spec("tdouble:3:0"), eps=0.8)
     b = evaluate(parse_spec("tdouble:3:1"), eps=0.8)
     assert_carries(equivalent_up_to_relabeling(a, b), a, b, tol=0.8)
+
+
+# The S/T automorphism groups (relabelings of a data set onto itself)
+@pytest.mark.parametrize("spec, order", [
+    ("double:S3", 2), ("double:Z_6", 8), ("double:Q8", 6), ("double:D4", 24),
+    ("prod(double:S3,double:Z_2)", 16)])
+def test_relabelings_yield_every_automorphism_once(spec, order):
+    md = build(spec)
+    perms = list(constructors._relabelings(md, md))
+    assert perms[0] == equivalent_up_to_relabeling(md, md)
+    assert len({tuple(p) for p in perms}) == len(perms) == order
+    for pi in perms:
+        assert_carries(pi, md, md)
