@@ -28,10 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (IncompleteEnumerationError, MdkError,
-                     SearchBudgetError, _Budget)
+from .errors import MdkError, SearchBudgetError, _Budget
 from .modular_data import ModularData, _intertwines
-from .numeric import INTEGER_EPS, _mix, check_bytes, rationalize, rref
+from .numeric import INTEGER_EPS, check_bytes, rationalize, rref
 
 __all__ = [
     "CommutantBasis", "ModularInvariant", "commutant_basis",
@@ -388,8 +387,10 @@ def _coordinate_search(DB, scale, slack, boxes, caps, order=None,
     dropped where, on the prefix of that order known for both it and its
     image x[g], the first entry at which they differ is larger in it:
     the least vector of each orbit under the group the images generate
-    survives.  Returns the surviving entry vectors, unscaled, as a (k, P)
-    array in depth-first order.
+    survives.  Each vector carries one more entry per image, 1 once it
+    is below that image on a known prefix, so only the stretch of the
+    prefix that a depth adds is compared there.  Returns the surviving
+    entry vectors, unscaled, as a (k, P) array in depth-first order.
     """
     m, P = DB.shape
     nonzero = DB != 0
@@ -416,26 +417,10 @@ def _coordinate_search(DB, scale, slack, boxes, caps, order=None,
         kind = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                     if top <= np.iinfo(t).max)
         DB, hi, lo, caps = (x.astype(kind) for x in (DB, hi, lo, caps))
-    # per depth, the images whose prefix known on both sides grew there,
-    # with the new stretch of the prefix and of its image, padded by
-    # (0, 0) pairs, which never differ
     checks = [None] * m
     if images:
-        grown = np.array([np.searchsorted(np.maximum.accumulate(
-            np.maximum(last[by_last], last[g[by_last]])), np.arange(m),
-            side="right") for g in images])
-        start = np.hstack([np.zeros((len(images), 1), np.intp), grown[:, :-1]])
-        for t in range(m):
-            new = np.flatnonzero(grown[:, t] > start[:, t])
-            if new.size:
-                a = np.zeros((new.size, (grown[new, t] - start[new, t]).max()),
-                             np.intp)
-                b = a.copy()
-                for row, e in enumerate(new.tolist()):
-                    stretch = by_last[start[e, t]:grown[e, t]]
-                    a[row, :stretch.size] = stretch
-                    b[row, :stretch.size] = images[e][stretch]
-                checks[t] = (P + new, a, b)
+        from ._orbits import lex_checks
+        checks = lex_checks(last, by_last, images, m)
         # one more column per image: 1 once a vector is below its image
         pad = np.zeros((m + 1, len(images)), DB.dtype)
         DB, hi, lo = (np.hstack([x, pad[:len(x)]]) for x in (DB, hi, lo))
@@ -469,9 +454,9 @@ def _coordinate_search(DB, scale, slack, boxes, caps, order=None,
         keep = trial[ok]
         if checks[t] is not None:
             below, a, b = checks[t]
-            diff = keep[:, a] - keep[:, b]
-            first = np.take_along_axis(
-                diff, (diff != 0).argmax(axis=2)[..., None], axis=2)[..., 0]
+            diff = (keep[:, a] - keep[:, b]).reshape(-1, a.shape[1])
+            first = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
+            first = first.reshape(len(keep), len(a))
             flags = keep[:, below]
             keep[:, below] = flags | (first < 0)
             keep = keep[~((first > 0) & (flags == 0)).any(axis=1)]
@@ -483,124 +468,6 @@ def _coordinate_search(DB, scale, slack, boxes, caps, order=None,
         stack.extend((t + 1, keep[i:i + r])
                      for i in reversed(range(0, len(keep), r)))
     return np.concatenate(found)
-
-
-def _settling_basis(cb: CommutantBasis, bounds: np.ndarray):
-    """The commutant in reduced-echelon form over pivots picked in
-    settling order, as (numerators, denominator, pivots), or None.
-
-    Entry (0, 0) is picked first.  Then, while the rows that vanish on
-    the picked entries span a space W, the next pivot is an entry of the
-    largest class of entries whose columns over W are parallel: fixing
-    it settles the whole class.  Ties go to the smaller box, then the
-    larger column weight in ``cb.coords``, then the earlier position.
-    The basis over those pivots is solved in floats and rationalized as
-    :func:`commutant_basis` does, then checked exactly in integers to
-    span the rows of ``cb.coords``; None when that fails or could
-    overflow int64.
-    """
-    m = cb.dimension
-    W = cb.coords / cb.denominator
-    weight = np.count_nonzero(cb.coords, axis=0)
-    mixer = _mix(np.arange(m, dtype=np.uint64)).view(np.int64)
-    pivots = [0]
-    while len(pivots) < m:
-        c = pivots[-1]
-        r = np.abs(W[:, c]).argmax()
-        W = np.delete(W - np.outer(W[:, c] / W[r, c], W[r]), r, axis=0)
-        W[:, c] = 0
-        size = np.abs(W).max(axis=0)
-        live = np.flatnonzero(size > 1e-9)
-        if not live.size:
-            return None
-        cols = W[:, live]
-        # scale each column by its first entry that is not (near) zero,
-        # and key its direction by a hash of the rounded entries
-        lead = (np.abs(cols) > 1e-9 * size[live]).argmax(axis=0)
-        cols = np.rint(cols / cols[lead, np.arange(len(live))] * 2 ** 20)
-        key = cols.astype(np.int64).T @ mixer[:len(W)]
-        _, group, count = np.unique(key, return_inverse=True,
-                                    return_counts=True)
-        pivots.append(int(live[np.lexsort((live, -weight[live], bounds[live],
-                                           -count[group]))[0]]))
-    M = cb.coords[:, pivots]
-    exact = rationalize(np.linalg.solve(M.astype(float), cb.coords),
-                        max_den=10 ** 6, tol=1e-7)
-    if exact is None:
-        return None
-    B, den = exact
-    widest, wide = int(np.abs(cb.coords).max()), int(np.abs(B).max())
-    if (m * widest * wide >= 2 ** 63 or den * widest >= 2 ** 63
-            or wide * int(bounds.sum()) >= 2 ** 62
-            or (B[:, pivots] != den * np.eye(m, dtype=np.int64)).any()
-            or (M @ B != den * cb.coords).any()):
-        return None
-    return B, den, pivots
-
-
-def _symmetries(cb: CommutantBasis, bounds: np.ndarray, left: ModularData,
-                right: ModularData) -> list[np.ndarray]:
-    """Index arrays g, one per S/T automorphism of either side but the
-    identity, such that x -> x[g] maps the search's solution set onto
-    itself.
-
-    An automorphism pi of ``right`` sends Z to Z' with Z'[pi(j), i] =
-    Z[j, i], one of ``left`` sends it to Z'[j, pi(i)] = Z[j, i], and
-    either keeps Z S_L = S_R Z and Z T_L = T_R Z.  The automorphisms are
-    read from the relabeling matcher's walk; when that passes its cap,
-    those found so far are used.  Each is kept only if it maps the
-    positions, the entry bounds and the rational row space of
-    ``cb.coords`` onto themselves, checked exactly in integers.
-    """
-    from .constructors import _relabelings  # loaded only for large boxes
-
-    def automorphisms(md):
-        found = []
-        try:
-            for pi in _relabelings(md, md):
-                found.append(np.array(pi))
-        except IncompleteEnumerationError:
-            pass
-        return found
-
-    js, is_ = np.array(cb.positions).T
-    at = np.full((right.rank, left.rank), -1)
-    at[js, is_] = np.arange(len(js))
-    coords, den = cb.coords, cb.denominator
-    widest = int(np.abs(coords).max())
-    if cb.dimension * widest * widest >= 2 ** 63 or den * widest >= 2 ** 63:
-        return []
-    on_left = automorphisms(left)
-    on_right = on_left if right is left else automorphisms(right)
-    images = []
-    for target in ([at[js, pi[is_]] for pi in on_left]
-                   + [at[pi[js], is_] for pi in on_right]):
-        # target[p]: where entry p goes
-        if ((target == np.arange(len(js))).all() or target[0] != 0
-                or (target < 0).any()):
-            continue
-        g = np.argsort(target)
-        image = coords[:, g]
-        if ((bounds[g] == bounds).all()
-                and (den * image == image[:, list(cb.pivots)] @ coords).all()):
-            images.append(g)
-    return images
-
-
-def _orbits(reps: np.ndarray, images: list) -> np.ndarray:
-    """Every vector x[g1][g2]... reached from the rows of ``reps``, each
-    once: the orbits of the reps under the group the images generate."""
-    seen = {x.tobytes() for x in reps}
-    out, new = [reps], reps
-    while images and len(new):
-        fresh = []
-        for x in np.concatenate([new[:, g] for g in images]):
-            if x.tobytes() not in seen:
-                seen.add(x.tobytes())
-                fresh.append(x)
-        new = np.array(fresh, reps.dtype).reshape(-1, reps.shape[1])
-        out.append(new)
-    return np.concatenate(out)
 
 
 def _greedy_order(nonzero: np.ndarray, boxes: list[int]) -> list[int]:
@@ -707,13 +574,15 @@ def _invariants_in(cb: CommutantBasis, left: ModularData,
         caps = bounds.astype(float)
     order, images = None, []
     if exact and math.prod(b + 1 for b in boxes.tolist()) > _LARGE_BOX:
-        images = _symmetries(cb, bounds, left, right)
-        settling = _settling_basis(cb, bounds)
+        from . import _orbits
+        images = _orbits.symmetries(cb, bounds, left, right)
+        settling = _orbits.settling_basis(cb, bounds)
         if settling is not None:
             DB, scale, pivots = settling
             boxes, caps, order = bounds[pivots], scale * bounds, range(len(DB))
-    found = _orbits(_coordinate_search(DB, scale, slack, boxes, caps, order,
-                                       images), images)
+    found = _coordinate_search(DB, scale, slack, boxes, caps, order, images)
+    if images:
+        found = _orbits.closure(found, images)
 
     Zs = np.zeros((len(found), right.rank, left.rank), dtype=np.int64)
     Zs[:, js, is_] = found

@@ -11,7 +11,7 @@ from mdkit import (IncompleteEnumerationError, ModularData, ModularInvariant,
                    classify_invariant, commutant_basis, enumerate_invariants,
                    MdkError, evaluate, parse_spec, preset, reverse,
                    su2_level)
-from mdkit import constructors, invariants, numeric
+from mdkit import _orbits, constructors, invariants, numeric
 from mdkit.invariants import _classify, _coordinate_search
 
 
@@ -645,8 +645,8 @@ def test_large_box_walk_matches_the_plain_walk(left, right, seed,
     if seed is not None:
         right = _relabeled_by_seed(right, seed)
     used = []
-    real = invariants._symmetries
-    monkeypatch.setattr(invariants, "_symmetries",
+    real = _orbits.symmetries
+    monkeypatch.setattr(_orbits, "symmetries",
                         lambda *args: used.append(real(*args)) or used[-1])
     monkeypatch.setattr(invariants, "_LARGE_BOX", math.inf)
     want = invariant_bytes(enumerate_invariants(left, right))
@@ -666,7 +666,7 @@ def test_any_set_of_symmetries_gives_the_same_answer(sides, images,
     want = invariant_bytes(enumerate_invariants(left, right))
     keep = [md for name, md in (("left", left), ("right", right))
             if name in sides]
-    real = constructors._relabelings
+    real = _orbits._relabelings
 
     def some(a, b):
         if any(a is md for md in keep):
@@ -675,9 +675,9 @@ def test_any_set_of_symmetries_gives_the_same_answer(sides, images,
             yield list(range(a.rank))
 
     used = []
-    real_symmetries = invariants._symmetries
-    monkeypatch.setattr(constructors, "_relabelings", some)
-    monkeypatch.setattr(invariants, "_symmetries", lambda *args: used.append(
+    real_symmetries = _orbits.symmetries
+    monkeypatch.setattr(_orbits, "_relabelings", some)
+    monkeypatch.setattr(_orbits, "symmetries", lambda *args: used.append(
         real_symmetries(*args)) or used[-1])
     monkeypatch.setattr(invariants, "_LARGE_BOX", 0)
     assert invariant_bytes(enumerate_invariants(left, right)) == want
@@ -689,10 +689,10 @@ def test_automorphisms_past_the_matcher_cap_still_give_the_answer(
     md = build("double:Z_6")
     want = invariant_bytes(enumerate_invariants(md))
     cb = commutant_basis(md)
-    full = invariants._symmetries(cb, _bounds(cb, md, md), md, md)
+    full = _orbits.symmetries(cb, _bounds(cb, md, md), md, md)
     # 7 nodes find 4 of the 8 automorphisms
     monkeypatch.setattr(constructors, "_RELABEL_NODE_CAP", 7)
-    cut = invariants._symmetries(cb, _bounds(cb, md, md), md, md)
+    cut = _orbits.symmetries(cb, _bounds(cb, md, md), md, md)
     assert len(cut) == 6 and len(full) == 14
     assert invariant_bytes(enumerate_invariants(md)) == want
 
@@ -705,15 +705,15 @@ def test_a_permutation_that_is_no_exact_symmetry_is_rejected(monkeypatch):
     bounds = _bounds(cb, md, md)
     swap = [0, 2, 1] + list(range(3, md.rank))
     assert abs(md.T[1] - md.T[2]) < 1e-12 and md.dims[1] == md.dims[2]
-    monkeypatch.setattr(constructors, "_relabelings",
+    monkeypatch.setattr(_orbits, "_relabelings",
                         lambda a, b: iter([list(range(md.rank)), swap]))
-    assert invariants._symmetries(cb, bounds, md, md) == []
+    assert _orbits.symmetries(cb, bounds, md, md) == []
     # nor is one that moves an entry off the positions the twists allow
     off = [0, 4, 2, 3, 1] + list(range(5, md.rank))
     assert abs(md.T[1] - md.T[4]) > 1e-3
-    monkeypatch.setattr(constructors, "_relabelings",
+    monkeypatch.setattr(_orbits, "_relabelings",
                         lambda a, b: iter([off]))
-    assert invariants._symmetries(cb, bounds, md, md) == []
+    assert _orbits.symmetries(cb, bounds, md, md) == []
 
 
 def test_walk_holds_entries_in_the_narrowest_type(monkeypatch):
@@ -767,5 +767,5 @@ def test_large_box_walk_without_a_settling_basis_keeps_the_answer(
     # the commutant's own pivots, in the greedy order, still pruned
     md = build("double:Z_6")
     want = invariant_bytes(enumerate_invariants(md))
-    monkeypatch.setattr(invariants, "_settling_basis", lambda *args: None)
+    monkeypatch.setattr(_orbits, "settling_basis", lambda *args: None)
     assert invariant_bytes(enumerate_invariants(md)) == want
