@@ -12,6 +12,8 @@ module is loaded only then.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .constructors import _relabelings
@@ -19,6 +21,11 @@ from .errors import IncompleteEnumerationError
 from .invariants import CommutantBasis
 from .modular_data import ModularData
 from .numeric import _mix, rationalize
+
+# Multiply-adds that the exact checks of the automorphisms of one search
+# may take, about 0.15 s with one BLAS thread on x86-64; all those of
+# double:D4 (24 a side) or of the rank-32 product take about 2 % of it.
+_CHECK_WORK = 4 * 10 ** 9
 
 
 def settling_basis(cb: CommutantBasis, bounds: np.ndarray):
@@ -31,9 +38,10 @@ def settling_basis(cb: CommutantBasis, bounds: np.ndarray):
     it settles the whole class.  Ties go to the smaller box, then the
     larger column weight in ``cb.coords``, then the earlier position.
     The basis over those pivots is solved in floats and rationalized as
-    ``commutant_basis`` does, then checked exactly in integers to span
-    the rows of ``cb.coords``; None when that fails or could overflow
-    int64.
+    ``commutant_basis`` does, then checked exactly to span the rows of
+    ``cb.coords``: an integer product in float64, whose sums stay below
+    2^53.  None when that fails or could not be exact, or when the
+    search would overflow int64.
     """
     m = cb.dimension
     W = cb.coords / cb.denominator
@@ -66,10 +74,10 @@ def settling_basis(cb: CommutantBasis, bounds: np.ndarray):
         return None
     B, den = exact
     widest, wide = int(np.abs(cb.coords).max()), int(np.abs(B).max())
-    if (m * widest * wide >= 2 ** 63 or den * widest >= 2 ** 63
+    if (m * widest * wide >= 2 ** 53 or den * widest >= 2 ** 53
             or wide * int(bounds.sum()) >= 2 ** 62
             or (B[:, pivots] != den * np.eye(m, dtype=np.int64)).any()
-            or (M @ B != den * cb.coords).any()):
+            or (M.astype(float) @ B != den * cb.coords).any()):
         return None
     return B, den, pivots
 
@@ -86,12 +94,15 @@ def symmetries(cb: CommutantBasis, bounds: np.ndarray, left: ModularData,
     read from the relabeling matcher's walk; when that passes its cap,
     those found so far are used.  Each is kept only if it maps the
     positions, the entry bounds and the rational row space of
-    ``cb.coords`` onto themselves, checked exactly in integers.
+    ``cb.coords`` onto themselves, checked exactly (integer products in
+    float64, whose sums stay below 2^53).  One check is an (m, m) by
+    (m, P) product, and no more automorphisms are read than checks of
+    ``_CHECK_WORK`` multiply-adds in all allow.
     """
-    def automorphisms(md):
-        found = []
+    def automorphisms(md, most):
+        found = []  # the identity comes first
         try:
-            for pi in _relabelings(md, md):
+            for pi in itertools.islice(_relabelings(md, md), most + 1):
                 found.append(np.array(pi))
         except IncompleteEnumerationError:
             pass
@@ -100,17 +111,19 @@ def symmetries(cb: CommutantBasis, bounds: np.ndarray, left: ModularData,
     js, is_ = np.array(cb.positions).T
     at = np.full((right.rank, left.rank), -1)
     at[js, is_] = np.arange(len(js))
-    coords, den = cb.coords, cb.denominator
-    widest = int(np.abs(coords).max())
-    if cb.dimension * widest * widest >= 2 ** 63 or den * widest >= 2 ** 63:
+    m, P = cb.coords.shape
+    den, widest = cb.denominator, int(np.abs(cb.coords).max())
+    most = _CHECK_WORK // (2 * m * m * P)  # a side
+    if m * widest * widest >= 2 ** 53 or den * widest >= 2 ** 53 or not most:
         return []
-    on_left = automorphisms(left)
-    on_right = on_left if right is left else automorphisms(right)
+    coords = cb.coords.astype(float)
+    on_left = automorphisms(left, most)
+    on_right = on_left if right is left else automorphisms(right, most)
     images = []
     for target in ([at[js, pi[is_]] for pi in on_left]
                    + [at[pi[js], is_] for pi in on_right]):
         # target[p]: where entry p goes
-        if ((target == np.arange(len(js))).all() or target[0] != 0
+        if ((target == np.arange(P)).all() or target[0] != 0
                 or (target < 0).any()):
             continue
         g = np.argsort(target)

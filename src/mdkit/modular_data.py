@@ -567,7 +567,8 @@ class _Derived(ModularData):
         # order (a mirror's labels are its input's); "⊗" joins one of each
         # into the string nested "left⊗right" pairs give, 2 bytes a
         # character, sized first
-        check_bytes(2 * _label_chars(self), f"product labels at rank {self.rank}")
+        check_bytes(2 * _label_chars(self),
+                    f"product labels at rank {self.rank}")
         leaves, stack = [], [self]
         while stack:
             node = stack.pop()

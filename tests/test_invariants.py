@@ -769,3 +769,14 @@ def test_large_box_walk_without_a_settling_basis_keeps_the_answer(
     want = invariant_bytes(enumerate_invariants(md))
     monkeypatch.setattr(_orbits, "settling_basis", lambda *args: None)
     assert invariant_bytes(enumerate_invariants(md)) == want
+
+
+def test_symmetry_checks_stop_at_their_work_budget(monkeypatch):
+    md = build("double:Z_6")
+    want = invariant_bytes(enumerate_invariants(md))
+    cb = commutant_basis(md)
+    bounds, (m, P) = _bounds(cb, md, md), cb.coords.shape
+    for work, images in ((2 * 2 * m * m * P, 4), (2 * m * m * P - 1, 0)):
+        monkeypatch.setattr(_orbits, "_CHECK_WORK", work)
+        assert len(_orbits.symmetries(cb, bounds, md, md)) == images
+        assert invariant_bytes(enumerate_invariants(md)) == want
