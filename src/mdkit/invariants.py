@@ -529,8 +529,8 @@ def enumerate_invariants(left: ModularData, right: ModularData | None = None
     When the search box, the product of (box + 1) over the pivot
     coordinates, passes _LARGE_BOX (10^8) and the search is exact, the
     walk changes in two ways.  The commutant is re-parametrised over
-    pivots picked in settling order (see ``_settling_basis``), and the
-    coordinates are assigned in that order.  The S/T automorphisms of
+    pivots picked in settling order (``_orbits.settling_basis``), and
+    the coordinates are assigned in that order.  The S/T automorphisms of
     both sides act on the solutions, and the walk keeps only the least
     solution of each orbit (lex-leader pruning; Crawford, Ginsberg, Luks
     and Roy, KR 1996), cutting a partial vector as soon as, on the
